@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"net/http/httptest"
-	"time"
 
 	"repro/internal/serve"
 )
@@ -22,7 +21,7 @@ func serveSuite(reps int) map[string]float64 {
 	if err != nil {
 		fatal(err)
 	}
-	srv := serve.New(&serve.Options{CoalesceWindow: time.Millisecond})
+	srv := serve.New(nil)
 	ts := httptest.NewServer(srv.Handler())
 	defer func() {
 		ts.Close()

@@ -1,6 +1,7 @@
 // Command dgefmmd serves GEMM over HTTP: binary DGEFMM calls on
-// POST /v1/gemm (see internal/serve for the wire format), with same-shape
-// request coalescing into the batch pool, per-tenant token-bucket quotas,
+// POST /v1/gemm (see internal/serve for the wire format), with requests
+// dispatched to the batch pool at once while a worker is free and grouped
+// by shape only behind a busy pool, per-tenant token-bucket quotas,
 // admission-control backpressure (429 + Retry-After past the high-water
 // mark), client deadline propagation, and an out-of-core tiled path for
 // operands past -large-words. The full observability surface rides on the
@@ -10,7 +11,7 @@
 // Usage:
 //
 //	dgefmmd -addr :8433
-//	dgefmmd -addr :8433 -workers 4 -coalesce-window 1ms -max-batch 16
+//	dgefmmd -addr :8433 -workers 4 -max-batch 16
 //	dgefmmd -quota-rate 100 -quota-burst 20 -tenant-quotas 'bulk=10:5,vip=1000:200'
 //	dgefmmd -large-words 1048576 -spool-dir /var/tmp
 //
@@ -41,8 +42,7 @@ func main() {
 		workers   = flag.Int("workers", 0, "batch pool workers (0 = GOMAXPROCS)")
 		queue     = flag.Int("queue", 0, "batch pool queue depth (0 = 4x workers)")
 		highWater = flag.Int("high-water", 0, "admission high-water mark; past it requests get 429 (0 = 4x queue depth)")
-		window    = flag.Duration("coalesce-window", 0, "how long the first request of a shape waits for company (0 = 500us default, negative disables)")
-		maxBatch  = flag.Int("max-batch", 0, "flush a shape group early at this many calls (0 = 32)")
+		maxBatch  = flag.Int("max-batch", 0, "most same-shape calls grouped behind a busy pool (0 = 32)")
 
 		quotaRate  = flag.Float64("quota-rate", 0, "default tenant quota: sustained requests/s (0 = unlimited)")
 		quotaBurst = flag.Float64("quota-burst", 0, "default tenant quota: burst size (0 = rate)")
@@ -72,7 +72,6 @@ func main() {
 		Workers:        *workers,
 		QueueDepth:     *queue,
 		HighWater:      *highWater,
-		CoalesceWindow: *window,
 		MaxBatch:       *maxBatch,
 		Quota:          quota,
 		LargeWords:     *largeWords,

@@ -465,7 +465,7 @@ type ServeOptions = serve.Options
 type GEMMServer = serve.Server
 
 // NewGEMMServer builds a GEMM service (nil opts = defaults: GOMAXPROCS
-// workers, 500µs coalesce window, no quotas).
+// workers, no quotas).
 func NewGEMMServer(opts *ServeOptions) *GEMMServer { return serve.New(opts) }
 
 // GEMMClient calls a GEMM service (a dgefmmd, or any GEMMServer.Handler).

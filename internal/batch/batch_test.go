@@ -720,3 +720,57 @@ func TestExecuteEachClosedPool(t *testing.T) {
 		}
 	}
 }
+
+// panicKernel panics on every leaf multiply with m rows, standing in for a
+// kernel fault inside one call.
+type panicKernel struct {
+	blas.Kernel
+	m int
+}
+
+func (k panicKernel) MulAdd(transA, transB blas.Transpose, m, n, kk int, alpha float64,
+	a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
+	if m == k.m {
+		panic("injected kernel fault")
+	}
+	k.Kernel.MulAdd(transA, transB, m, n, kk, alpha, a, lda, b, ldb, c, ldc)
+}
+
+// TestPoolSchedPanicReportedPerCall: with calls routed through a task
+// runtime, a panic inside one call's product DAG (possibly on a stolen
+// runtime worker) lands in that call's ExecuteEach error slot; its
+// neighbours complete with correct results and the process survives.
+func TestPoolSchedPanicReportedPerCall(t *testing.T) {
+	rt := sched.New(2, 12)
+	defer rt.Close()
+	// Tau 8 recursion puts 64³ leaves at 8 rows and 48³ leaves at 6 rows.
+	mkCfg := func() *strassen.Config {
+		return &strassen.Config{Kernel: panicKernel{Kernel: blas.NaiveKernel{}, m: 6}, Criterion: strassen.Simple{Tau: 8}}
+	}
+	pool := NewPool(&Options{Workers: 2, Config: mkCfg(), Sched: rt})
+	defer pool.Close()
+
+	rng := rand.New(rand.NewSource(83))
+	spec := func(n int) caseSpec {
+		return caseSpec{m: n, n: n, k: n, transA: blas.NoTrans, transB: blas.NoTrans, alpha: 1, beta: 0.5}
+	}
+	calls, seq, cb, cs := buildCalls([]caseSpec{spec(64), spec(48), spec(64)}, rng)
+	errs := pool.ExecuteEach(calls)
+	var pe *sched.PanicError
+	if !errors.As(errs[1], &pe) || pe.Value != "injected kernel fault" {
+		t.Fatalf("faulting call: %v, want its *sched.PanicError", errs[1])
+	}
+	runSequential(mkCfg(), []Call{seq[0], seq[2]})
+	for _, i := range []int{0, 2} {
+		if errs[i] != nil {
+			t.Fatalf("call %d failed beside the faulting call: %v", i, errs[i])
+		}
+		if d := matrix.MaxAbsDiff(cb[i], cs[i]); d > 1e-8 {
+			t.Fatalf("call %d: result differs from sequential by %g", i, d)
+		}
+	}
+	// The pool and runtime keep serving.
+	if errs := pool.ExecuteEach(calls[:1]); errs[0] != nil {
+		t.Fatalf("call after the fault: %v", errs[0])
+	}
+}

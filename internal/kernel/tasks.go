@@ -125,7 +125,7 @@ func (k *Packed) MulAddTasks(sub sched.Submitter, threads int, transA, transB bl
 			// Barrier per (jc, pc): the next KC step accumulates into the
 			// same C columns, so panels must retire in order — that order is
 			// what makes the summation bit-identical to the sequential nest.
-			_ = sub.Run(context.Background(), d)
+			sched.Repanic(sub.Run(context.Background(), d))
 		}
 	}
 	ar.Free(bpack)

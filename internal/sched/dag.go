@@ -3,6 +3,8 @@ package sched
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -27,6 +29,7 @@ type DAG struct {
 
 	doneCh chan struct{}
 	ctx    context.Context
+	perr   atomic.Pointer[PanicError] // first task panic; skips remaining bodies
 }
 
 // Node is one task in a DAG, used only as a dependency handle for Add.
@@ -47,6 +50,51 @@ func NewDAG() *DAG {
 
 // ErrStarted is returned by Run when the DAG was already run once.
 var ErrStarted = errors.New("sched: DAG already started")
+
+// PanicError is the error Run returns when a task body of the DAG
+// panicked: the recovered value and the stack of the panicking task.
+type PanicError struct {
+	Value any
+	Stack []byte
+}
+
+func (e *PanicError) Error() string { return fmt.Sprintf("sched: task panicked: %v", e.Value) }
+
+// Unwrap exposes a panic value that is itself an error.
+func (e *PanicError) Unwrap() error {
+	err, _ := e.Value.(error)
+	return err
+}
+
+// Repanic re-raises the task panic err carries, if any. A task body that
+// joins a nested DAG calls it on Run's error, so the panic fails the
+// enclosing task (and its DAG) as if the panicking code had run inline;
+// other errors, such as cancellation, are left to the caller.
+func Repanic(err error) {
+	var pe *PanicError
+	if errors.As(err, &pe) {
+		panic(pe)
+	}
+}
+
+// fail records a recovered panic as the DAG's error; the first one wins.
+// A re-raised PanicError from a nested DAG is kept as it is.
+func (d *DAG) fail(r any) {
+	pe, ok := r.(*PanicError)
+	if !ok {
+		pe = &PanicError{Value: r, Stack: debug.Stack()}
+	}
+	d.perr.CompareAndSwap(nil, pe)
+}
+
+// err is the DAG's outcome once it has drained: the first task panic, else
+// the context's error.
+func (d *DAG) err() error {
+	if pe := d.perr.Load(); pe != nil {
+		return pe
+	}
+	return d.ctx.Err()
+}
 
 // Add inserts a task that runs after every listed dependency completes
 // and returns its node for use as a dependency of later tasks.

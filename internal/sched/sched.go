@@ -52,7 +52,9 @@ type Submitter interface {
 	// Run executes every task in d respecting dependencies and returns
 	// when all have completed. If ctx is canceled mid-run, remaining task
 	// bodies are skipped (the DAG still drains so resources owned by the
-	// caller are safe to release on return) and ctx.Err() is returned.
+	// caller are safe to release on return) and ctx.Err() is returned. If
+	// a task body panics, the panic is recovered, the remaining bodies are
+	// skipped the same way, and a *PanicError is returned.
 	Run(ctx context.Context, d *DAG) error
 	// Workers reports the pool size, for sizing fan-out.
 	Workers() int
@@ -205,7 +207,7 @@ func (rt *Runtime) Run(ctx context.Context, d *DAG) error {
 		return err
 	}
 	<-d.doneCh
-	return ctx.Err()
+	return d.err()
 }
 
 // Run implements Submitter for nested submission from inside a task: the
@@ -221,7 +223,7 @@ func (w *Worker) Run(ctx context.Context, d *DAG) error {
 	for {
 		select {
 		case <-d.doneCh:
-			return ctx.Err()
+			return d.err()
 		default:
 		}
 		if n := w.find(); n != nil {
@@ -366,9 +368,9 @@ func (rt *Runtime) notify() {
 }
 
 // runNode executes one node: the body unless the DAG's context is already
-// canceled (cancellation drains the DAG by skipping bodies, so a multiply
-// past its deadline stops between products, not after the whole call),
-// then dependency bookkeeping either way.
+// canceled or another of its bodies panicked (either drains the DAG by
+// skipping bodies, so a multiply past its deadline stops between products,
+// not after the whole call), then dependency bookkeeping either way.
 func (rt *Runtime) runNode(w *Worker, n *Node) {
 	w.depth++
 	if w.depth == 1 { // nested frames are the same busy worker, count once
@@ -380,9 +382,9 @@ func (rt *Runtime) runNode(w *Worker, n *Node) {
 			}
 		}
 	}
-	if n.run != nil && n.d.ctx.Err() == nil {
+	if n.run != nil && n.d.ctx.Err() == nil && n.d.perr.Load() == nil {
 		sm := phase.Active().Begin(phase.SchedTaskRun)
-		n.run(w)
+		runBody(w, n)
 		sm.End(0, 0)
 	}
 	rt.tasksRun.Add(1)
@@ -391,6 +393,17 @@ func (rt *Runtime) runNode(w *Worker, n *Node) {
 	}
 	w.depth--
 	n.complete(w)
+}
+
+// runBody runs a node's body, recording a panic as the DAG's error instead
+// of letting it take down the worker goroutine — and with it the process.
+func runBody(w *Worker, n *Node) {
+	defer func() {
+		if r := recover(); r != nil {
+			n.d.fail(r)
+		}
+	}()
+	n.run(w)
 }
 
 // loop is one worker goroutine's life: find work, run it, park when the

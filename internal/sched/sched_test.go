@@ -2,8 +2,10 @@ package sched
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -372,4 +374,80 @@ func TestNestedRunDoesNotDeadlock(t *testing.T) {
 	if ran.Load() != 64 {
 		t.Fatalf("ran %d of 64 innermost tasks", ran.Load())
 	}
+}
+
+// TestTaskPanicFailsOnlyItsDAG: a panicking task body is recovered on the
+// worker (the process survives), becomes its DAG's error with the panic's
+// dependents skipped, and leaves concurrent DAGs on the same runtime and
+// later DAGs unaffected.
+func TestTaskPanicFailsOnlyItsDAG(t *testing.T) {
+	rt := New(2, 5)
+	defer rt.Close()
+
+	var dependentRan atomic.Bool
+	bad := NewDAG()
+	root := bad.Add(func(*Worker) { panic("boom") })
+	bad.Add(func(*Worker) { dependentRan.Store(true) }, root)
+
+	const tasks = 64
+	var ran atomic.Int64
+	good := NewDAG()
+	for i := 0; i < tasks; i++ {
+		good.Add(func(*Worker) { ran.Add(1) })
+	}
+
+	var wg sync.WaitGroup
+	var badErr, goodErr error
+	wg.Add(2)
+	go func() { defer wg.Done(); badErr = rt.Run(context.Background(), bad) }()
+	go func() { defer wg.Done(); goodErr = rt.Run(context.Background(), good) }()
+	wg.Wait()
+
+	var pe *PanicError
+	if !errors.As(badErr, &pe) || pe.Value != "boom" || len(pe.Stack) == 0 {
+		t.Fatalf("panicking DAG returned %v, want a *PanicError for \"boom\" with a stack", badErr)
+	}
+	if dependentRan.Load() {
+		t.Fatal("a task depending on the panicked one ran")
+	}
+	if goodErr != nil || ran.Load() != tasks {
+		t.Fatalf("concurrent DAG: err=%v, %d of %d tasks ran", goodErr, ran.Load(), tasks)
+	}
+
+	after := NewDAG()
+	var afterRan atomic.Bool
+	after.Add(func(*Worker) { afterRan.Store(true) })
+	if err := rt.Run(context.Background(), after); err != nil || !afterRan.Load() {
+		t.Fatalf("DAG after the panic: err=%v ran=%v", err, afterRan.Load())
+	}
+}
+
+// TestNestedTaskPanicPropagates: a panic in a nested sub-DAG is returned by
+// Worker.Run, and Repanic hands that same panic to the enclosing DAG.
+func TestNestedTaskPanicPropagates(t *testing.T) {
+	rt := New(2, 6)
+	defer rt.Close()
+	var inner error
+	outer := NewDAG()
+	outer.Add(func(w *Worker) {
+		sub := NewDAG()
+		for i := 0; i < 4; i++ {
+			sub.Add(func(*Worker) {})
+		}
+		sub.Add(func(*Worker) { panic(errors.New("nested")) })
+		inner = w.Run(context.Background(), sub)
+		Repanic(inner)
+	})
+	err := rt.Run(context.Background(), outer)
+	var pe *PanicError
+	if !errors.As(inner, &pe) {
+		t.Fatalf("Worker.Run returned %v, want a *PanicError", inner)
+	}
+	if err != pe {
+		t.Fatalf("outer DAG returned %v, want the nested panic re-raised", err)
+	}
+	if err.Error() != "sched: task panicked: nested" || errors.Unwrap(err) == nil {
+		t.Fatalf("error %q does not carry the panic value", err)
+	}
+	Repanic(context.Canceled) // not a panic: a no-op
 }

@@ -8,27 +8,35 @@ import (
 	"repro/internal/obs"
 )
 
-// coalescer groups concurrent same-shape GEMM requests into one
-// batch.Pool submission. The first request of a shape opens a group and
-// arms a flush timer (the coalesce window); later same-shape arrivals join
-// the group until it flushes — on the timer, or immediately when the group
-// reaches maxBatch. One flush is one ExecuteEach call, so the whole group
-// shares a single plan lookup and rides the pool's workers together; each
-// member still gets its own per-call error (independent deadlines).
+// coalescer groups same-shape GEMM requests into batch.Pool submissions
+// only when grouping costs nothing: it is work-conserving. While fewer of
+// its calls are in flight than the pool has workers (and no group is
+// waiting), a request goes to the pool at once, on its submitter's
+// goroutine, so a request below the cutoff costs what one DGEMM costs.
+// Once every worker is busy, arrivals join their shape's pending group,
+// and groups flush in arrival order as in-flight calls finish. One flush
+// is one ExecuteEach call, so a group shares a single plan lookup and
+// rides the pool's workers together; each member still gets its own
+// per-call error (independent deadlines). maxBatch caps a group; the next
+// same-shape arrival opens a new one behind it.
 type coalescer struct {
 	pool     *batch.Pool
-	window   time.Duration
+	workers  int
 	maxBatch int
 
 	// batches/calls feed the serve.coalesce_ratio metric: ratio =
-	// calls.Value() / batches.Value().
+	// calls.Value() / batches.Value(). wait is each call's time from
+	// submit until it is handed to the pool.
 	batches *obs.Counter
 	calls   *obs.Counter
+	wait    *obs.Histogram
 
-	mu      sync.Mutex
-	pending map[shapeKey]*cgroup
-	flushes sync.WaitGroup // open flushes; Close waits so the pool is quiescent
-	closed  bool
+	mu       sync.Mutex
+	inflight int                  // calls handed to the pool and not yet finished
+	queue    []*cgroup            // groups waiting for a free worker, oldest first
+	open     map[shapeKey]*cgroup // per shape, the queued group still taking members
+	running  sync.WaitGroup       // dispatched groups; close waits so the pool is quiescent
+	closed   bool
 }
 
 // shapeKey matches internal/batch's bucket identity: calls agreeing on it
@@ -54,37 +62,47 @@ type result struct {
 	batched int
 }
 
-// cgroup is one open shape group.
+// cgroup is one batch: its members' calls, result channels and submit
+// times, index-aligned.
 type cgroup struct {
-	calls   []batch.Call
-	out     []chan result
-	timer   *time.Timer
-	flushed bool
+	key   shapeKey
+	calls []batch.Call
+	out   []chan result
+	since []time.Time
 }
 
-func newCoalescer(pool *batch.Pool, window time.Duration, maxBatch int, reg *obs.Registry) *coalescer {
+func (g *cgroup) add(call batch.Call, ch chan result, since time.Time) {
+	g.calls = append(g.calls, call)
+	g.out = append(g.out, ch)
+	g.since = append(g.since, since)
+}
+
+func newCoalescer(pool *batch.Pool, maxBatch int, reg *obs.Registry) *coalescer {
 	if maxBatch < 1 {
 		maxBatch = 1
 	}
 	co := &coalescer{
 		pool:     pool,
-		window:   window,
+		workers:  pool.Stats().Workers,
 		maxBatch: maxBatch,
-		pending:  make(map[shapeKey]*cgroup),
+		open:     make(map[shapeKey]*cgroup),
 	}
 	if reg != nil {
 		co.batches = reg.Counter("serve.coalesce.batches")
 		co.calls = reg.Counter("serve.coalesce.calls")
+		co.wait = reg.Histogram("serve.coalesce.wait.ns")
 	}
 	return co
 }
 
-// submit enqueues a call and returns the channel its result will arrive
-// on. The channel is buffered, so an abandoned waiter (deadline expired)
-// never blocks the flusher.
+// submit hands a call to the pool and returns the channel its result
+// arrives on. With a free worker the call runs before submit returns;
+// otherwise it is grouped and submit returns at once. The channel is
+// buffered, so an abandoned waiter (deadline expired) never blocks the
+// flusher.
 func (co *coalescer) submit(call batch.Call) <-chan result {
 	ch := make(chan result, 1)
-	key := keyOf(&call)
+	now := time.Now()
 
 	co.mu.Lock()
 	if co.closed {
@@ -92,69 +110,84 @@ func (co *coalescer) submit(call batch.Call) <-chan result {
 		ch <- result{err: errServerClosed}
 		return ch
 	}
-	g := co.pending[key]
+	if co.inflight < co.workers && len(co.queue) == 0 {
+		g := &cgroup{}
+		g.add(call, ch, now)
+		co.startLocked(g)
+		co.mu.Unlock()
+		co.run(g)
+		return ch
+	}
+	key := keyOf(&call)
+	g := co.open[key]
 	if g == nil {
-		g = &cgroup{}
-		co.pending[key] = g
-		co.flushes.Add(1)
-		if co.window > 0 {
-			gg := g
-			g.timer = time.AfterFunc(co.window, func() { co.flush(key, gg) })
-		}
+		g = &cgroup{key: key}
+		co.queue = append(co.queue, g)
+		co.open[key] = g
 	}
-	g.calls = append(g.calls, call)
-	g.out = append(g.out, ch)
-	// With no window the group cannot wait for company: flush at once.
-	full := len(g.calls) >= co.maxBatch || co.window <= 0
+	g.add(call, ch, now)
+	if len(g.calls) >= co.maxBatch {
+		delete(co.open, key)
+	}
 	co.mu.Unlock()
-
-	if full {
-		co.flush(key, g)
-	}
 	return ch
 }
 
-// flush executes one group. It is called from the window timer or from the
-// submitter that filled the group; the flushed flag arbitrates the race.
-func (co *coalescer) flush(key shapeKey, g *cgroup) {
-	co.mu.Lock()
-	if g.flushed {
-		co.mu.Unlock()
-		return
-	}
-	g.flushed = true
-	if co.pending[key] == g {
-		delete(co.pending, key)
-	}
-	calls, out := g.calls, g.out
-	co.mu.Unlock()
-	defer co.flushes.Done()
-	if g.timer != nil {
-		g.timer.Stop()
-	}
+// startLocked counts a group as dispatched. The caller holds co.mu and
+// then runs the group.
+func (co *coalescer) startLocked(g *cgroup) {
+	co.inflight += len(g.calls)
+	co.running.Add(1)
+}
 
-	errs := co.pool.ExecuteEach(calls)
-	if co.batches != nil {
-		co.batches.Add(1)
-		co.calls.Add(int64(len(calls)))
-	}
-	for i, ch := range out {
-		ch <- result{err: errs[i], batched: len(calls)}
+// dispatchLocked starts queued groups, oldest first, while a pool worker
+// is free — or all of them once the coalescer is closed. The caller holds
+// co.mu.
+func (co *coalescer) dispatchLocked() {
+	for len(co.queue) > 0 && (co.inflight < co.workers || co.closed) {
+		g := co.queue[0]
+		co.queue[0] = nil
+		co.queue = co.queue[1:]
+		if co.open[g.key] == g {
+			delete(co.open, g.key)
+		}
+		co.startLocked(g)
+		go co.run(g)
 	}
 }
 
-// close flushes every pending group and waits for open flushes, leaving
-// the pool quiescent so it can be closed without racing ExecuteEach.
+// run executes one dispatched group, hands the freed workers to the groups
+// queued behind it, and answers the group's members.
+func (co *coalescer) run(g *cgroup) {
+	defer co.running.Done()
+	if co.wait != nil {
+		for _, t := range g.since {
+			co.wait.Observe(time.Since(t))
+		}
+	}
+	errs := co.pool.ExecuteEach(g.calls)
+
+	co.mu.Lock()
+	co.inflight -= len(g.calls)
+	co.dispatchLocked()
+	co.mu.Unlock()
+
+	if co.batches != nil {
+		co.batches.Add(1)
+		co.calls.Add(int64(len(g.calls)))
+	}
+	for i, ch := range g.out {
+		ch <- result{err: errs[i], batched: len(g.calls)}
+	}
+}
+
+// close refuses further calls, flushes every queued group, and waits for
+// all dispatched groups, leaving the pool quiescent so it can be closed
+// without racing ExecuteEach.
 func (co *coalescer) close() {
 	co.mu.Lock()
 	co.closed = true
-	groups := make(map[shapeKey]*cgroup, len(co.pending))
-	for k, g := range co.pending {
-		groups[k] = g
-	}
+	co.dispatchLocked()
 	co.mu.Unlock()
-	for k, g := range groups {
-		co.flush(k, g)
-	}
-	co.flushes.Wait()
+	co.running.Wait()
 }

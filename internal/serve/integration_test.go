@@ -74,11 +74,15 @@ func TestServeMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestServeCoalescing pins the tentpole behavior: concurrent same-shape
-// requests ride one batch. The window is generous (200ms) so all arrivals
-// join the first group regardless of scheduling.
+// TestServeCoalescing pins the tentpole behavior: same-shape requests
+// that arrive while every pool worker is busy ride one batch. The first
+// Workers requests take the idle path and hold the workers at a gated
+// kernel; the rest are grouped behind them until the gate opens.
 func TestServeCoalescing(t *testing.T) {
-	srv, ts := newTestServer(t, &Options{Workers: 2, CoalesceWindow: 200 * time.Millisecond})
+	const workers = 2
+	kern := newGateKernel()
+	srv, ts := newTestServer(t, &Options{Workers: workers, Config: kern.config()})
+	t.Cleanup(kern.open)
 	const calls = 8
 	rng := rand.New(rand.NewSource(42))
 	a, b := randFloats(rng, 24*24), randFloats(rng, 24*24)
@@ -86,9 +90,9 @@ func TestServeCoalescing(t *testing.T) {
 	var wg sync.WaitGroup
 	batched := make([]int, calls)
 	errs := make([]error, calls)
-	for i := 0; i < calls; i++ {
+	send := func(i int) {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
 			cl := &Client{BaseURL: ts.URL}
 			res, err := cl.GEMM(context.Background(), &GEMMRequest{
@@ -99,8 +103,17 @@ func TestServeCoalescing(t *testing.T) {
 				return
 			}
 			batched[i] = res.Batched
-		}(i)
+		}()
 	}
+	for i := 0; i < workers; i++ {
+		send(i)
+	}
+	kern.waitEntered(t, workers)
+	for i := workers; i < calls; i++ {
+		send(i)
+	}
+	waitQueued(t, srv.coal, calls-workers)
+	kern.open()
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
@@ -128,20 +141,39 @@ func TestServeCoalescing(t *testing.T) {
 	}
 }
 
-// TestServeDeadline: a request whose X-Deadline-Ms expires while parked in
-// a long coalesce window gets 504 and the deadline counter ticks; the
+// TestServeDeadline: a request whose X-Deadline-Ms expires while it is
+// grouped behind a busy pool gets 504 and the deadline counter ticks; the
 // group's later flush must skip the dead call without incident.
 func TestServeDeadline(t *testing.T) {
-	srv, ts := newTestServer(t, &Options{
-		Workers:        1,
-		CoalesceWindow: 2 * time.Second, // far past the request deadline
-	})
-	var buf bytes.Buffer
-	h := ReqHeader{M: 4, N: 4, K: 4, Alpha: 1}
-	if err := EncodeRequest(&buf, &h, make([]float64, 16), make([]float64, 16), nil); err != nil {
-		t.Fatal(err)
+	kern := newGateKernel()
+	srv, ts := newTestServer(t, &Options{Workers: 1, Config: kern.config()})
+	t.Cleanup(kern.open)
+	encode := func() *bytes.Buffer {
+		var buf bytes.Buffer
+		h := ReqHeader{M: 4, N: 4, K: 4, Alpha: 1}
+		if err := EncodeRequest(&buf, &h, make([]float64, 16), make([]float64, 16), nil); err != nil {
+			t.Fatal(err)
+		}
+		return &buf
 	}
-	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/gemm", &buf)
+
+	// The blocker holds the only worker at the gate, so the deadline
+	// request below is grouped and parked.
+	blocker := make(chan error, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/gemm", ContentType, encode())
+		if err == nil {
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				err = fmt.Errorf("blocker status %d", resp.StatusCode)
+			}
+		}
+		blocker <- err
+	}()
+	kern.waitEntered(t, 1)
+
+	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/gemm", encode())
 	req.Header.Set("Content-Type", ContentType)
 	req.Header.Set("X-Deadline-Ms", "50")
 
@@ -156,13 +188,17 @@ func TestServeDeadline(t *testing.T) {
 		t.Fatalf("status %d (%s), want 504", resp.StatusCode, bytes.TrimSpace(body))
 	}
 	if waited := time.Since(start); waited > time.Second {
-		t.Fatalf("504 took %v: the deadline did not cut the coalesce window short", waited)
+		t.Fatalf("504 took %v: the deadline did not cut the coalesce wait short", waited)
 	}
 	if n := srv.Collector().Registry.Counter("serve.errors.deadline").Value(); n != 1 {
 		t.Fatalf("deadline counter = %d, want 1", n)
 	}
-	// Close flushes the still-pending group; the canceled call must be
+	// Opening the gate flushes the parked group; the canceled call must be
 	// skipped by the worker (batch.Call.Ctx), not executed or paniced on.
+	kern.open()
+	if err := <-blocker; err != nil {
+		t.Fatalf("blocker: %v", err)
+	}
 	srv.Close()
 }
 
@@ -181,17 +217,92 @@ func (k *slowKernel) MulAdd(transA, transB blas.Transpose, m, n, kk int, alpha f
 	k.Kernel.MulAdd(transA, transB, m, n, kk, alpha, a, lda, b, ldb, c, ldc)
 }
 
+// gateKernel holds every leaf multiply until open is called, so a test can
+// keep the pool's workers busy for as long as it needs: requests arriving
+// meanwhile are grouped behind them. It records the m extent of each leaf
+// in the order the leaves ran.
+type gateKernel struct {
+	blas.Kernel
+	release chan struct{}
+	once    sync.Once
+	entered atomic.Int64
+
+	mu    sync.Mutex
+	order []int
+}
+
+func newGateKernel() *gateKernel {
+	return &gateKernel{Kernel: blas.NaiveKernel{}, release: make(chan struct{})}
+}
+
+// config runs every test shape as a single leaf multiply on the gate.
+func (k *gateKernel) config() *strassen.Config {
+	return &strassen.Config{Kernel: k, Criterion: strassen.Simple{Tau: 1 << 10}}
+}
+
+func (k *gateKernel) MulAdd(transA, transB blas.Transpose, m, n, kk int, alpha float64,
+	a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
+	k.entered.Add(1)
+	<-k.release
+	k.mu.Lock()
+	k.order = append(k.order, m)
+	k.mu.Unlock()
+	k.Kernel.MulAdd(transA, transB, m, n, kk, alpha, a, lda, b, ldb, c, ldc)
+}
+
+// open releases every held and future leaf multiply; it is idempotent.
+func (k *gateKernel) open() { k.once.Do(func() { close(k.release) }) }
+
+// ran returns the m extents of the leaves that have passed the gate.
+func (k *gateKernel) ran() []int {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	return append([]int(nil), k.order...)
+}
+
+// waitEntered blocks until n leaf multiplies have reached the gate.
+func (k *gateKernel) waitEntered(t *testing.T, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for k.entered.Load() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d leaf multiplies reached the gate", k.entered.Load(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// waitQueued blocks until the coalescer holds n calls in pending groups.
+func waitQueued(t *testing.T, co *coalescer, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		co.mu.Lock()
+		q := 0
+		for _, g := range co.queue {
+			q += len(g.calls)
+		}
+		co.mu.Unlock()
+		if q >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d calls grouped", q, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestServeDeadlineCancelsRunningMultiply: a deadline that expires while
-// the multiply is EXECUTING (not parked in a coalesce window or queue)
+// the multiply is EXECUTING (not grouped or queued)
 // must cancel it mid-flight — the engine polls the call's context between
 // products, so the worker abandons the remaining leaf multiplies instead
 // of running the batch to completion after the client is gone.
 func TestServeDeadlineCancelsRunningMultiply(t *testing.T) {
 	kern := &slowKernel{Kernel: blas.NaiveKernel{}, delay: 2 * time.Millisecond}
 	srv, ts := newTestServer(t, &Options{
-		Workers:        1,
-		CoalesceWindow: time.Millisecond,
-		Config:         &strassen.Config{Kernel: kern, Criterion: strassen.Simple{Tau: 8}},
+		Workers: 1,
+		Config:  &strassen.Config{Kernel: kern, Criterion: strassen.Simple{Tau: 8}},
 	})
 	rng := rand.New(rand.NewSource(44))
 	a, b := randFloats(rng, 64*64), randFloats(rng, 64*64)
@@ -260,11 +371,10 @@ func TestServeDeadlineCancelsRunningMultiply(t *testing.T) {
 // TestServeBackpressure: past the admission high-water mark requests are
 // shed with 429 + Retry-After instead of queueing behind the pool.
 func TestServeBackpressure(t *testing.T) {
-	srv, ts := newTestServer(t, &Options{
-		Workers:        1,
-		HighWater:      1,
-		CoalesceWindow: time.Second, // parks the first request, holding its slot
-	})
+	// The gate parks the first request in the pool, holding its slot.
+	kern := newGateKernel()
+	srv, ts := newTestServer(t, &Options{Workers: 1, HighWater: 1, Config: kern.config()})
+	t.Cleanup(kern.open)
 	rng := rand.New(rand.NewSource(43))
 	a, b := randFloats(rng, 8*8), randFloats(rng, 8*8)
 
@@ -275,15 +385,8 @@ func TestServeBackpressure(t *testing.T) {
 		first <- err
 	}()
 
-	// Wait until the first request is admitted (inflight gauge = 1).
-	gauge := srv.Collector().Registry.Gauge("serve.inflight")
-	deadline := time.Now().Add(5 * time.Second)
-	for gauge.Value() < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("first request never admitted")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	// Wait until the first request is admitted and held at the gate.
+	kern.waitEntered(t, 1)
 
 	var buf bytes.Buffer
 	h := ReqHeader{M: 8, N: 8, K: 8, Alpha: 1}
@@ -304,6 +407,7 @@ func TestServeBackpressure(t *testing.T) {
 	if n := srv.Collector().Registry.Counter("serve.rejected.backpressure").Value(); n != 1 {
 		t.Fatalf("backpressure counter = %d, want 1", n)
 	}
+	kern.open()
 	if err := <-first; err != nil {
 		t.Fatalf("parked request failed: %v", err)
 	}
@@ -465,12 +569,12 @@ func TestServeObservability(t *testing.T) {
 }
 
 // TestServeShutdownLeakFree: a full serve/load/shutdown cycle leaves no
-// goroutines behind — coalesce timers, pool workers, and HTTP servers all
+// goroutines behind — coalesce flushes, pool workers, and HTTP servers all
 // stop. Run under -race in CI.
 func TestServeShutdownLeakFree(t *testing.T) {
 	before := runtime.NumGoroutine()
 
-	srv := New(&Options{Workers: 2, CoalesceWindow: time.Millisecond})
+	srv := New(&Options{Workers: 2})
 	ts := httptest.NewServer(srv.Handler())
 	rng := rand.New(rand.NewSource(47))
 	a, b := randFloats(rng, 16*16), randFloats(rng, 16*16)
@@ -540,7 +644,7 @@ func TestServeClosed(t *testing.T) {
 // TestRunLoadInProcess exercises the load harness against an in-process
 // server — the same path cmd/loadgen and the benchdiff serve suite use.
 func TestRunLoadInProcess(t *testing.T) {
-	_, ts := newTestServer(t, &Options{Workers: 2, CoalesceWindow: time.Millisecond})
+	_, ts := newTestServer(t, &Options{Workers: 2})
 	shapes, err := ParseShapes("16x16x16:2,24x16x8:1")
 	if err != nil {
 		t.Fatal(err)

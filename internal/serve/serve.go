@@ -20,8 +20,9 @@ import (
 var errServerClosed = errors.New("serve: server is shutting down")
 
 // Options configures New. The zero value (and a nil *Options) selects a
-// GOMAXPROCS-sized batch pool, a 500µs coalesce window, no quotas, and an
-// admission high-water mark derived from the queue depth.
+// GOMAXPROCS-sized batch pool, no quotas, and an admission high-water mark
+// derived from the queue depth. Requests are coalesced only behind a busy
+// pool (see coalescer), so there is no coalescing delay to configure.
 type Options struct {
 	// Pool, if non-nil, is the execution engine; the caller owns it and
 	// Server.Close will not close it. Nil builds a pool from Workers,
@@ -42,14 +43,8 @@ type Options struct {
 	// load before the pool queue (whose send would otherwise block the
 	// handler). <= 0 selects 4× the pool queue depth.
 	HighWater int
-	// CoalesceWindow is how long the first request of a shape waits for
-	// same-shape company before its batch flushes. 0 selects
-	// DefaultCoalesceWindow; negative disables waiting (every request
-	// executes immediately, still through the pool). Long windows trade
-	// latency for coalescing.
-	CoalesceWindow time.Duration
-	// MaxBatch flushes a shape group early once it holds this many calls.
-	// <= 0 selects 32.
+	// MaxBatch caps how many same-shape calls one coalesced group holds;
+	// the next arrival of that shape opens a new group. <= 0 selects 32.
 	MaxBatch int
 	// Quota is the per-tenant admission quota table.
 	Quota QuotaConfig
@@ -71,9 +66,6 @@ type Options struct {
 	// Logger receives request-level diagnostics; nil selects slog.Default.
 	Logger *slog.Logger
 }
-
-// DefaultCoalesceWindow is the coalesce window when Options leaves it 0.
-const DefaultCoalesceWindow = 500 * time.Microsecond
 
 // Server is the GEMM service. Create with New, mount Handler on an
 // http.Server, and Close when done (after http.Server.Shutdown, so no
@@ -153,15 +145,11 @@ func New(opts *Options) *Server {
 		s.highWater = int64(4 * queue)
 	}
 
-	window := o.CoalesceWindow
-	if window == 0 {
-		window = DefaultCoalesceWindow
-	}
 	maxBatch := o.MaxBatch
 	if maxBatch <= 0 {
 		maxBatch = 32
 	}
-	s.coal = newCoalescer(s.pool, window, maxBatch, s.col.Registry)
+	s.coal = newCoalescer(s.pool, maxBatch, s.col.Registry)
 	s.quotas = newQuotas(o.Quota)
 
 	if o.LargeWords <= 0 {

@@ -261,6 +261,7 @@ func (e *engine) dagLevel(c *matrix.Dense, a, b matrix.View, alpha, beta float64
 	}
 	// On cancellation the DAG drains without running remaining bodies; the
 	// partially written C is discarded by the caller (dgefmm surfaces the
-	// context error), and the deferred frees keep the arena balanced.
-	_ = e.sub.Run(e.runCtx(), d)
+	// context error), and the deferred frees keep the arena balanced. A
+	// product that panicked is re-raised here, on the joining goroutine.
+	sched.Repanic(e.sub.Run(e.runCtx(), d))
 }
