@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/blas"
 	"repro/internal/experiments"
+	"repro/internal/sched"
 	"repro/internal/strassen"
 )
 
@@ -270,10 +271,14 @@ func BenchmarkParallelStrassen(b *testing.B) {
 	a := NewRandomMatrix(m, m, rng)
 	bb := NewRandomMatrix(m, m, rng)
 	c := NewMatrix(m, m)
-	for _, par := range []int{0, 2, 4, 7} {
+	for _, workers := range []int{0, 2, 4, 7} {
 		cfg := DefaultConfig(nil)
-		cfg.Parallel = par
-		b.Run(fmt.Sprintf("products=%d", par), func(b *testing.B) {
+		if workers > 0 {
+			rt := sched.New(workers, 8)
+			defer rt.Close()
+			cfg.Sched = rt
+		}
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				DGEFMM(cfg, NoTrans, NoTrans, m, m, m, 1,
 					a.Data, a.Stride, bb.Data, bb.Stride, 0, c.Data, c.Stride)

@@ -16,14 +16,11 @@
 //   - Shape bucketing: calls with the same (op(A), op(B), m, n, k, β-class)
 //     share one strassen.Plan, so the cutoff decisions, peel schedule and
 //     recursion depth are derived once and replayed by table lookup.
-//   - Core budgeting: the pool divides GOMAXPROCS between inter-call
-//     workers and intra-call parallelism (Config.Parallel and
-//     blas.ParallelKernel worker counts are scaled down) so the two levels
-//     of concurrency do not oversubscribe the machine. With a work-stealing
-//     runtime attached (Options.Sched or Config.Sched) the budget is
-//     structural instead: every call executes as a task DAG on the runtime,
+//   - Core budgeting: with a work-stealing runtime attached (Options.Sched
+//     or Config.Sched) every call executes as a task DAG on the runtime,
 //     whose worker count caps tasks in flight regardless of how many pool
-//     workers submit concurrently.
+//     workers submit concurrently. Without one, each call runs sequentially
+//     on its pool worker, so the worker count is the whole budget.
 //
 // Observability: give Options.Collector an obs.Collector and the pool
 // maintains a queue-depth gauge ("batch.queue_depth"), a call counter
@@ -118,9 +115,8 @@ type Options struct {
 	// Execute blocks while the queue is full, providing backpressure.
 	QueueDepth int
 	// Config is the base DGEFMM configuration every call runs under. The
-	// pool copies it and re-budgets its intra-call parallelism (Parallel,
-	// ParallelKernel workers) against the worker count; per-worker kernels
-	// and trackers replace Kernel and Tracker. Nil selects the defaults.
+	// pool copies it; per-worker kernels and trackers replace Kernel and
+	// Tracker. Nil selects the defaults.
 	Config *strassen.Config
 	// Collector, if non-nil, receives the pool's metrics and the worker
 	// arenas' workspace accounting (see the package comment for names).
@@ -132,8 +128,8 @@ type Options struct {
 	// runtime's single core budget (tasks in flight never exceed its
 	// worker count, however many pool workers submit). Equivalent to
 	// setting Config.Sched; when both are set, Options.Sched wins. Nil
-	// (with a nil Config.Sched) keeps the pool's legacy direct execution
-	// with the GOMAXPROCS/Workers core split.
+	// (with a nil Config.Sched) runs each call sequentially on the pool
+	// worker that picked it up.
 	Sched *sched.Runtime
 }
 
@@ -257,42 +253,16 @@ func NewPool(opts *Options) *Pool {
 	}
 	p.base.Tracker = nil // workers install their own arenas
 
-	// Core budget. With a task runtime (Options.Sched or Config.Sched) the
-	// budget is structural: calls run as tasks on the runtime, which never
-	// has more tasks in flight than workers, so pool workers are pure
-	// submitters and no per-call scaling is needed. Without one, the
-	// legacy split applies: threads per call = GOMAXPROCS / workers, so
-	// inter-call and intra-call parallelism together never exceed the
-	// machine.
+	// Core budget: with a task runtime (Options.Sched or Config.Sched) calls
+	// run as tasks on it, which never has more tasks in flight than
+	// workers, so pool workers are pure submitters.
 	if o.Sched != nil {
 		p.base.Sched = o.Sched
 	}
 	p.sched = p.base.Sched
-	perCall := runtime.GOMAXPROCS(0) / workers
-	if perCall < 1 {
-		perCall = 1
-	}
-	if p.sched == nil {
-		if p.base.Parallel > perCall {
-			p.base.Parallel = perCall
-		}
-		if p.base.Parallel <= 1 {
-			p.base.Parallel, p.base.ParallelLevels = 0, 0
-		}
-	}
 	p.kern = p.base.Kernel
 	if p.kern == nil {
 		p.kern = kernel.Default()
-	}
-	if pk, ok := p.kern.(*blas.ParallelKernel); ok && pk.Workers > perCall {
-		if perCall < 2 {
-			p.kern = pk.Base
-			if p.kern == nil {
-				p.kern = kernel.Default()
-			}
-		} else {
-			p.kern = &blas.ParallelKernel{Workers: perCall, Base: pk.Base}
-		}
 	}
 
 	if p.col != nil {

@@ -203,23 +203,24 @@ func squareCutoff(kern blas.Kernel, fused strassen.FusedMode, lo, hi, step int, 
 	return ChooseCrossover(pts), pts
 }
 
-// timePairCores measures the parallel pair of Figure 2 on an m×m×m problem:
-// the threaded kernel (blas.ParallelKernel over the base) against one
-// parallel Strassen level whose seven-product DAG runs on a cores-worker
-// runtime. Both arms are budgeted to the same core count, so the ratio
-// isolates where the parallel Strassen level starts beating a parallel
-// DGEMM — the crossover that moves with the worker count.
-func timePairCores(kern blas.Kernel, rt *sched.Runtime, cores, m int, rng *rand.Rand) (tGemm, tOneLevel float64) {
+// timePairCores measures the parallel pair of Figure 2 on an m×m×m problem
+// with both arms on the same runtime rt: a no-recursion DGEFMM (the leaf
+// kernel alone, its MC loop threaded on rt) against one parallel Strassen
+// level whose seven-product DAG runs on rt. Both arms share one core
+// budget, so the ratio isolates where the parallel Strassen level starts
+// beating a parallel DGEMM — the crossover that moves with the worker
+// count.
+func timePairCores(kern blas.Kernel, rt *sched.Runtime, m int, rng *rand.Rand) (tGemm, tOneLevel float64) {
 	a := matrix.NewRandom(m, m, rng)
 	b := matrix.NewRandom(m, m, rng)
 	c := matrix.NewRandom(m, m, rng)
 	cw := c.Clone()
-	pk := &blas.ParallelKernel{Workers: cores, Base: kern}
+	gemm := &strassen.Config{Kernel: kern, Criterion: strassen.Never{}, Sched: rt}
 	cfg := oneLevelConfig(kern, strassen.FusedOff)
 	cfg.Sched = rt
 	cfg.SchedLevels = 1
 	tGemm = bench.BestOf(2, func() {
-		blas.DgemmKernel(pk, blas.NoTrans, blas.NoTrans, m, m, m, 1,
+		strassen.DGEFMM(gemm, blas.NoTrans, blas.NoTrans, m, m, m, 1,
 			a.Data, a.Stride, b.Data, b.Stride, 0, c.Data, c.Stride)
 	})
 	tOneLevel = bench.BestOf(2, func() {
@@ -242,7 +243,7 @@ func SquareCutoffCores(kern blas.Kernel, cores, lo, hi, step int, seed int64) (i
 	rng := rand.New(rand.NewSource(seed))
 	var pts []RatioPoint
 	for m := lo; m <= hi; m += step {
-		tg, ts := timePairCores(kern, rt, cores, m, rng)
+		tg, ts := timePairCores(kern, rt, m, rng)
 		pts = append(pts, RatioPoint{Dim: m, Ratio: tg / ts})
 	}
 	return ChooseCrossover(pts), pts

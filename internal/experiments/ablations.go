@@ -113,9 +113,9 @@ func AblationPeeling(w io.Writer, sc Scale) []AblationRow {
 	return rows
 }
 
-// AblationParallel compares the sequential engine with the task-parallel
-// schedule and the column-parallel kernel — the Section 5 parallelism item.
-// On a single-CPU host the interest is overhead, not speedup.
+// AblationParallel compares the sequential engine with the product DAG on a
+// work-stealing runtime — the Section 5 parallelism item. On a single-CPU
+// host the interest is overhead, not speedup.
 func AblationParallel(w io.Writer, sc Scale) []AblationRow {
 	kern := kernelOf("blocked")
 	tau := strassen.DefaultParams("blocked").Tau
@@ -125,19 +125,11 @@ func AblationParallel(w io.Writer, sc Scale) []AblationRow {
 	seq := configFor(kern)
 	rows = append(rows, AblationRow{Name: "sequential", Seconds: timeConfig(seq, m, 1, 0, 293)})
 
-	par := configFor(kern)
-	par.Parallel = 4
-	par.ParallelLevels = 1
-	rows = append(rows, AblationRow{Name: "task-parallel products (4)", Seconds: timeConfig(par, m, 1, 0, 293)})
-
 	rt := sched.New(4, 293)
 	defer rt.Close()
 	dag := configFor(kern)
 	dag.Sched = rt
 	rows = append(rows, AblationRow{Name: "work-stealing DAG runtime (4)", Seconds: timeConfig(dag, m, 1, 0, 293)})
-
-	pk := configFor(&blas.ParallelKernel{Workers: 4, Base: kern})
-	rows = append(rows, AblationRow{Name: "column-parallel kernel (4)", Seconds: timeConfig(pk, m, 1, 0, 293)})
 
 	printAblation(w, fmt.Sprintf("Ablation: parallel execution modes (order %d, GOMAXPROCS-bound)", m), rows)
 	return rows

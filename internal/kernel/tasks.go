@@ -51,8 +51,11 @@ func (k *Packed) MulAddTasks(sub sched.Submitter, threads int, transA, transB bl
 		return
 	}
 
+	// Both panels are freed by defer: a panicking chunk re-raises through
+	// sched.Repanic below and must not strand arena words.
 	ar := k.Arena()
 	bpack := ar.AllocUninit(kcE * ncE)
+	defer ar.Free(bpack)
 	ta, tb := transA.IsTrans(), transB.IsTrans()
 
 	prof := phase.Active()
@@ -88,6 +91,7 @@ func (k *Packed) MulAddTasks(sub sched.Submitter, threads int, transA, transB bl
 				jc, pc, nb, kb := jc, pc, nb, kb
 				d.Add(func(w *sched.Worker) {
 					apack := ar.AllocUninit(mcE * kcE)
+					defer ar.Free(apack)
 					var cacct phaseAcct
 					var aWords, ft, et int64
 					var ct0 time.Time
@@ -113,7 +117,6 @@ func (k *Packed) MulAddTasks(sub sched.Submitter, threads int, transA, transB bl
 						ft += f
 						et += e
 					}
-					ar.Free(apack)
 					if prof != nil {
 						cacct.flush(prof, aWords, 0)
 					}
@@ -128,7 +131,6 @@ func (k *Packed) MulAddTasks(sub sched.Submitter, threads int, transA, transB bl
 			sched.Repanic(sub.Run(context.Background(), d))
 		}
 	}
-	ar.Free(bpack)
 	if prof != nil {
 		acct.flush(prof, 0, packedB)
 	}

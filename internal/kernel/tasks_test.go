@@ -123,3 +123,29 @@ func randSlice(rng *rand.Rand, n int) []float64 {
 	}
 	return s
 }
+
+// TestMulAddTasksPanicFreesArena: a chunk task that panics — here C is one
+// column short, so the write-out of the last column indexes past the slice —
+// re-raises in the caller, and neither its Ã panel nor the shared B̃ panel
+// may stay live in the kernel's arena once the panic is recovered.
+func TestMulAddTasksPanicFreesArena(t *testing.T) {
+	rt := sched.New(2, 9)
+	defer rt.Close()
+	rng := rand.New(rand.NewSource(509))
+	m, n, kk := 64, 40, 24
+	a := randSlice(rng, m*kk)
+	b := randSlice(rng, kk*n)
+	c := randSlice(rng, m*(n-1))
+	k := &Packed{MC: 16, KC: 12, NC: 20}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("a one-column-short C did not panic")
+			}
+		}()
+		k.MulAddTasks(rt, 2, blas.NoTrans, blas.NoTrans, m, n, kk, 1, a, m, b, kk, c, m)
+	}()
+	if live := k.Arena().Live(); live != 0 {
+		t.Fatalf("arena holds %d words after a recovered chunk panic", live)
+	}
+}

@@ -191,8 +191,10 @@ func TestParallelSpanTreeComplete(t *testing.T) {
 	col := NewCollector()
 	cfg := strassen.DefaultConfig(blas.KernelByName("blocked"))
 	cfg.Criterion = strassen.Simple{Tau: 32}
-	cfg.Parallel = 4
-	cfg.ParallelLevels = 2
+	rt := sched.New(4, 7)
+	defer rt.Close()
+	cfg.Sched = rt
+	cfg.SchedLevels = 2
 	cfg.Tracer = ref
 	col.Attach(cfg)            // tees: events to ref, spans to col
 	run(cfg, 257, 255, 259, 7) // odd dims: peeling + fixups inside parallel products
@@ -286,30 +288,6 @@ func TestSpanRecorderLimitDropsSubtrees(t *testing.T) {
 	snap := col.Snapshot()
 	if snap.Metrics.Counters[metricEventPrefix+"base"] != 49 {
 		t.Errorf("base events = %d, want 49", snap.Metrics.Counters[metricEventPrefix+"base"])
-	}
-}
-
-func TestCollectorKernelBridge(t *testing.T) {
-	pk := &blas.ParallelKernel{Workers: 4}
-	col := NewCollector()
-	cfg := col.Attach(strassen.DefaultConfig(pk))
-	// One recursion level: the base problems keep 128 columns, enough for
-	// the parallel kernel to split into worker goroutines.
-	cfg.MaxDepth = 1
-	run(cfg, 256, 256, 256, 9)
-	snap := col.Snapshot()
-	if len(snap.Kernels) != 1 {
-		t.Fatalf("want 1 observed kernel, got %d", len(snap.Kernels))
-	}
-	ks := snap.Kernels[0]
-	if ks.Dispatches == 0 {
-		t.Error("no kernel dispatches recorded")
-	}
-	if ks.Goroutines == 0 {
-		t.Error("no worker goroutines recorded (200 cols should split)")
-	}
-	if snap.Metrics.Gauges["kernel.parallel.goroutines"] != ks.Goroutines {
-		t.Error("goroutine gauge not folded into metrics")
 	}
 }
 

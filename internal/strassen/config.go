@@ -121,7 +121,7 @@ type Config struct {
 	// environment variable is consulted (PR 5 precedence: Config beats
 	// environment beats default). Non-default tables run through the
 	// generic table executor with generalized dynamic peeling; the
-	// Schedule, Odd and Parallel knobs apply only to the default path.
+	// Schedule and Odd knobs apply only to the default path.
 	Algo string
 	// Tracker, if non-nil, accounts all temporary workspace words.
 	Tracker *memtrack.Tracker
@@ -135,27 +135,12 @@ type Config struct {
 	// enough levels that the product fan-out covers the runtime's workers
 	// (capped at 3). Ignored when no task runtime is active.
 	SchedLevels int
-	// Parallel caps the products in flight per DAG level (the lane width).
-	//
-	// Deprecated compat shim: Parallel predates the task runtime, where it
-	// sized a flat goroutine fan-out. Parallel > 1 with a nil Sched now
-	// executes on the process-shared runtime (sched.Shared()) with Parallel
-	// as the lane cap, preserving the documented concurrency bound and
-	// workspace accounting of the legacy schedule. New code should set
-	// Sched and leave Parallel zero (lanes default to the worker count).
-	Parallel int
-	// ParallelLevels bounds how many top levels use the parallel schedule;
-	// 0 means one level when Parallel > 1.
-	//
-	// Deprecated: use SchedLevels with an explicit Sched runtime; this
-	// field remains as the legacy default when SchedLevels is zero.
-	ParallelLevels int
 	// Tracer, if non-nil, receives one TraceEvent per recursion decision
 	// (base-case, schedule level, peel/pad action, fixup). A Tracer that
 	// also implements SpanTracer additionally receives timed, parented
 	// BeginSpan/EndSpan brackets around every node (see internal/obs for
 	// the standard collector). Implementations must be concurrency-safe
-	// when Parallel is enabled.
+	// when Sched is set.
 	Tracer Tracer
 }
 

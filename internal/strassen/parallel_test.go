@@ -9,9 +9,11 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/matrix"
 	"repro/internal/memtrack"
+	"repro/internal/sched"
 )
 
 func TestParallelMatchesSequential(t *testing.T) {
+	_, w4 := testRuntimes()
 	rng := rand.New(rand.NewSource(401))
 	for _, dims := range [][3]int{{64, 64, 64}, {65, 33, 97}, {128, 96, 80}} {
 		m, k, n := dims[0], dims[1], dims[2]
@@ -22,7 +24,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 			c2 := c1.Clone()
 
 			seq := &Config{Kernel: blas.NaiveKernel{}, Criterion: Simple{Tau: 8}}
-			par := &Config{Kernel: blas.NaiveKernel{}, Criterion: Simple{Tau: 8}, Parallel: 4, ParallelLevels: 2}
+			par := &Config{Kernel: blas.NaiveKernel{}, Criterion: Simple{Tau: 8}, Sched: w4, SchedLevels: 2}
 			DGEFMM(seq, blas.NoTrans, blas.NoTrans, m, n, k, 1.5, a.Data, a.Stride, b.Data, b.Stride, beta, c1.Data, c1.Stride)
 			DGEFMM(par, blas.NoTrans, blas.NoTrans, m, n, k, 1.5, a.Data, a.Stride, b.Data, b.Stride, beta, c2.Data, c2.Stride)
 			if d := matrix.MaxAbsDiff(c1, c2); d > tol(k) {
@@ -33,8 +35,10 @@ func TestParallelMatchesSequential(t *testing.T) {
 }
 
 func TestParallelCorrectAgainstReference(t *testing.T) {
+	rt := sched.New(7, 402)
+	defer rt.Close()
 	rng := rand.New(rand.NewSource(402))
-	cfg := &Config{Kernel: &blas.BlockedKernel{}, Criterion: Simple{Tau: 16}, Parallel: 7, ParallelLevels: 3}
+	cfg := &Config{Kernel: &blas.BlockedKernel{}, Criterion: Simple{Tau: 16}, Sched: rt, SchedLevels: 3}
 	for _, dims := range [][3]int{{96, 96, 96}, {67, 81, 75}} {
 		m, k, n := dims[0], dims[1], dims[2]
 		a := matrix.NewRandom(m, k, rng)
@@ -48,62 +52,50 @@ func TestParallelCorrectAgainstReference(t *testing.T) {
 	}
 }
 
+// TestParallelTrackerBalanced: the shared tracker must see every product
+// task's allocation and end balanced, and its peak must match the
+// planner's accounting — a DAG level holds mk + kn + 7mn/4 words (S/T
+// operands and all seven products) while up to lanes products recurse
+// sequentially underneath. On one worker the schedule is deterministic, so
+// the peak equals the plan exactly; on more workers it depends on which
+// products overlap and the plan is its upper bound.
 func TestParallelTrackerBalanced(t *testing.T) {
 	skipIfAlgoPinned(t)
-	// The shared tracker must see every parallel worker's allocation and
-	// end balanced.
+	w1, w4 := testRuntimes()
 	rng := rand.New(rand.NewSource(403))
-	tr := memtrack.New()
-	cfg := &Config{Kernel: blas.NaiveKernel{}, Criterion: Simple{Tau: 8}, Parallel: 4, Tracker: tr}
 	m := 64
 	a := matrix.NewRandom(m, m, rng)
 	b := matrix.NewRandom(m, m, rng)
-	c := matrix.NewDense(m, m)
-	DGEFMM(cfg, blas.NoTrans, blas.NoTrans, m, m, m, 1, a.Data, a.Stride, b.Data, b.Stride, 0, c.Data, c.Stride)
-	if tr.Live() != 0 {
-		t.Fatalf("parallel run leaked %d words", tr.Live())
-	}
-	// The parallel level needs more than the sequential bound of 2m²/3.
-	if tr.Peak() <= int64(2*m*m/3) {
-		t.Errorf("peak %d suspiciously small for the parallel schedule", tr.Peak())
-	}
-	// But bounded by the documented mk/2 + kn/2 + 7mn/4 plus the recursive
-	// sequential products underneath.
-	bound := int64(m*m/2+m*m/2+7*m*m/4) + 7*int64(2*(m/2)*(m/2)/3)
-	if tr.Peak() > bound {
-		t.Errorf("peak %d exceeds parallel-level bound %d", tr.Peak(), bound)
-	}
-}
-
-func TestParallelKernelMatchesBase(t *testing.T) {
-	rng := rand.New(rand.NewSource(404))
-	for _, tb := range []blas.Transpose{blas.NoTrans, blas.Trans} {
-		m, k, n := 48, 40, 130 // n large enough to split across workers
-		rowsB, colsB := k, n
-		if tb.IsTrans() {
-			rowsB, colsB = n, k
+	for _, rt := range []*sched.Runtime{w1, w4} {
+		tr := memtrack.New()
+		cfg := &Config{Kernel: blas.NaiveKernel{}, Criterion: Simple{Tau: 8}, Sched: rt, Tracker: tr}
+		c := matrix.NewDense(m, m)
+		DGEFMM(cfg, blas.NoTrans, blas.NoTrans, m, m, m, 1, a.Data, a.Stride, b.Data, b.Stride, 0, c.Data, c.Stride)
+		plan := PlanFor(cfg, m, m, m, true)
+		workers := rt.Workers()
+		if tr.Live() != 0 {
+			t.Fatalf("workers=%d: parallel run leaked %d words", workers, tr.Live())
 		}
-		a := matrix.NewRandom(m, k, rng)
-		b := matrix.NewRandom(rowsB, colsB, rng)
-		c1 := matrix.NewRandom(m, n, rng)
-		c2 := c1.Clone()
-		blas.DgemmKernel(&blas.BlockedKernel{}, blas.NoTrans, tb, m, n, k, 1.5,
-			a.Data, a.Stride, b.Data, b.Stride, 0.5, c1.Data, c1.Stride)
-		pk := &blas.ParallelKernel{Workers: 4, Base: &blas.BlockedKernel{}}
-		blas.DgemmKernel(pk, blas.NoTrans, tb, m, n, k, 1.5,
-			a.Data, a.Stride, b.Data, b.Stride, 0.5, c2.Data, c2.Stride)
-		// Column-split parallelism performs identical scalar arithmetic per
-		// element, so results are bit-identical.
-		if !c1.Equal(c2) {
-			t.Fatalf("tb=%c: parallel kernel differs from base", tb)
+		// The parallel level needs more than the sequential bound of 2m²/3.
+		if tr.Peak() <= int64(2*m*m/3) {
+			t.Errorf("workers=%d: peak %d suspiciously small for the parallel schedule", workers, tr.Peak())
+		}
+		if workers == 1 {
+			if tr.Peak() != plan.Words {
+				t.Errorf("workers=1: peak %d, planned %d", tr.Peak(), plan.Words)
+			}
+		} else if tr.Peak() > plan.Words {
+			t.Errorf("workers=%d: peak %d exceeds planned bound %d", workers, tr.Peak(), plan.Words)
 		}
 	}
 }
 
-func TestParallelKernelDelegatesToTaskThreader(t *testing.T) {
-	// A base that can thread its own MC loop (kernel.Packed) runs through
-	// MulAddTasks on the shared runtime; results stay bit-for-bit the
-	// base's (MulAddTasks preserves block edges and KC order).
+// TestNoRecursionSchedLeafMatchesBase: with no recursion (Never) on a
+// multi-worker runtime, DGEFMM is the leaf kernel alone with its MC loop
+// threaded (MulAddTasks) — the GEMM arm cmd/calibrate's core sweep times.
+// The result stays bit-for-bit the base kernel's.
+func TestNoRecursionSchedLeafMatchesBase(t *testing.T) {
+	_, w4 := testRuntimes()
 	rng := rand.New(rand.NewSource(407))
 	m, k, n := 96, 48, 64
 	a := matrix.NewRandom(m, k, rng)
@@ -113,29 +105,11 @@ func TestParallelKernelDelegatesToTaskThreader(t *testing.T) {
 	base := &kernel.Packed{MC: 16, KC: 12, NC: 20}
 	blas.DgemmKernel(base, blas.NoTrans, blas.NoTrans, m, n, k, 1.5,
 		a.Data, a.Stride, b.Data, b.Stride, 0.5, c1.Data, c1.Stride)
-	pk := &blas.ParallelKernel{Workers: 4, Base: &kernel.Packed{MC: 16, KC: 12, NC: 20}}
-	blas.DgemmKernel(pk, blas.NoTrans, blas.NoTrans, m, n, k, 1.5,
+	cfg := &Config{Kernel: &kernel.Packed{MC: 16, KC: 12, NC: 20}, Criterion: Never{}, Sched: w4}
+	DGEFMM(cfg, blas.NoTrans, blas.NoTrans, m, n, k, 1.5,
 		a.Data, a.Stride, b.Data, b.Stride, 0.5, c2.Data, c2.Stride)
 	if !c1.Equal(c2) {
-		t.Fatal("delegated parallel kernel differs from its base")
-	}
-}
-
-func TestParallelKernelSmallNInline(t *testing.T) {
-	// Below minParallelCols the kernel must not spawn and still be right.
-	rng := rand.New(rand.NewSource(405))
-	m, k, n := 20, 20, 8
-	a := matrix.NewRandom(m, k, rng)
-	b := matrix.NewRandom(k, n, rng)
-	c1 := matrix.NewDense(m, n)
-	c2 := matrix.NewDense(m, n)
-	blas.DgemmKernel(blas.NaiveKernel{}, blas.NoTrans, blas.NoTrans, m, n, k, 1,
-		a.Data, a.Stride, b.Data, b.Stride, 0, c1.Data, c1.Stride)
-	pk := &blas.ParallelKernel{Workers: 8, Base: blas.NaiveKernel{}}
-	blas.DgemmKernel(pk, blas.NoTrans, blas.NoTrans, m, n, k, 1,
-		a.Data, a.Stride, b.Data, b.Stride, 0, c2.Data, c2.Stride)
-	if !c1.Equal(c2) {
-		t.Fatal("inline fallback differs")
+		t.Fatal("threaded leaf differs from its base kernel")
 	}
 }
 

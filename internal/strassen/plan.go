@@ -234,7 +234,7 @@ func (c plannedCriterion) Recurse(m, k, n int) bool {
 }
 
 // planKey memoizes simulated subproblems. Depth participates because
-// MaxDepth and ParallelLevels make behavior depth-dependent.
+// MaxDepth and SchedLevels make behavior depth-dependent.
 type planKey struct {
 	m, k, n  int
 	betaZero bool
@@ -258,7 +258,7 @@ type planSim struct {
 	maxDepth  int
 	parallel  int         // lane cap of the task DAG (products in flight per level)
 	parLevels int         // top levels expanded into task DAGs
-	dag       bool        // a task runtime is active (Config.Sched or Parallel > 1)
+	dag       bool        // a task runtime is active (Config.Sched set)
 	tbl       *algo.Table // non-nil for a table-driven plan (simTable runs)
 	plan      *Plan
 	leaf      func(m, n, k int) int64 // nil for kernels without accounted workspace

@@ -173,7 +173,8 @@ func TestPlanKernelWordsParallelBound(t *testing.T) {
 	pk := &kernel.Packed{MC: 16, KC: 12, NC: 16}
 	arena := memtrack.New()
 	pk.SetArena(arena)
-	cfg := &Config{Kernel: pk, Criterion: Simple{Tau: 16}, Parallel: 4}
+	_, w4 := testRuntimes()
+	cfg := &Config{Kernel: pk, Criterion: Simple{Tau: 16}, Sched: w4}
 	run := *cfg
 	run.Tracker = memtrack.New()
 	a := matrix.NewRandom(m, m, rng)

@@ -83,11 +83,7 @@ func dgefmm(ctx context.Context, outer sched.Submitter, cfg *Config, transA, tra
 	lanes, levels, dag := cfg.schedParams(prodR)
 	sub := outer
 	if sub == nil && dag {
-		if cfg.Sched != nil {
-			sub = cfg.Sched
-		} else {
-			sub = sched.Shared()
-		}
+		sub = cfg.Sched
 	}
 	cores := 0
 	if sub != nil {

@@ -1,9 +1,10 @@
 package strassen
 
-// Task-DAG execution: the recursion's products run as a dependency graph on
-// the work-stealing runtime (internal/sched) instead of a flat goroutine
-// fan-out. One DAG level has three task ranks wired by dependency edges —
-// operand formation (the S_r/T_r linear combinations), the R recursive
+// Task-DAG execution — the paper's Section 5 future-work item ("extend our
+// implementation to use ... parallelism"): the recursion's products run as
+// a dependency graph on the work-stealing runtime (internal/sched) attached
+// as Config.Sched. One DAG level has three task ranks wired by dependency
+// edges — operand formation (the S_r/T_r linear combinations), the R recursive
 // products, and one single-writer write-back task per C block — so a
 // product starts the moment its own operands exist, not when every operand
 // of every product exists, and a C block combines as soon as its last
@@ -25,40 +26,25 @@ import (
 	"context"
 
 	"repro/internal/algo"
+	"repro/internal/blas"
 	"repro/internal/matrix"
 	"repro/internal/sched"
 )
 
 // schedParams resolves the task-runtime knobs from a Config: the per-level
-// in-flight product cap (lanes), the number of top recursion levels that
-// expand into tasks (levels), and whether the DAG path is active at all.
-// The compat shim lives here: Parallel/ParallelLevels predate the runtime
-// and map onto lanes/levels with their legacy defaults, so old
-// configurations keep their documented concurrency bound and workspace
-// accounting while executing on the shared scheduler.
+// in-flight product cap (lanes, the runtime's worker count), the number of
+// top recursion levels that expand into tasks (levels), and whether the
+// DAG path is active at all — which it is exactly when a runtime is
+// attached.
 func (cfg *Config) schedParams(r int) (lanes, levels int, dag bool) {
-	switch {
-	case cfg.Sched != nil:
-		lanes = cfg.Parallel
-		if lanes < 1 {
-			lanes = cfg.Sched.Workers()
-		}
-		levels = cfg.SchedLevels
-		if levels <= 0 {
-			levels = cfg.ParallelLevels
-		}
-		if levels <= 0 {
-			levels = schedAutoLevels(r, cfg.Sched.Workers())
-		}
-		return lanes, levels, true
-	case cfg.Parallel > 1:
-		levels = cfg.ParallelLevels
-		if levels <= 0 {
-			levels = 1
-		}
-		return cfg.Parallel, levels, true
+	if cfg.Sched == nil {
+		return 0, 0, false
 	}
-	return 0, 0, false
+	levels = cfg.SchedLevels
+	if levels <= 0 {
+		levels = schedAutoLevels(r, cfg.Sched.Workers())
+	}
+	return cfg.Sched.Workers(), levels, true
 }
 
 // schedCores returns the worker count of the runtime a call would execute
@@ -66,13 +52,10 @@ func (cfg *Config) schedParams(r int) (lanes, levels int, dag bool) {
 // PlanFor consult it so the "<kernel>@<cores>" calibration rows and the
 // threaded-leaf workspace accounting see the same figure the engine does.
 func (cfg *Config) schedCores() int {
-	switch {
-	case cfg.Sched != nil:
-		return cfg.Sched.Workers()
-	case cfg.Parallel > 1:
-		return sched.Shared().Workers()
+	if cfg.Sched == nil {
+		return 0
 	}
-	return 0
+	return cfg.Sched.Workers()
 }
 
 // schedAutoLevels picks how many top recursion levels to expand into tasks
@@ -139,11 +122,12 @@ func dagBuffers(t *algo.Table) (sBufs, tBufs int) {
 // levels and threaded leaves then push onto the worker's own deque
 // (helping) instead of blocking the pool from outside.
 func (e *engine) taskEngine(w *sched.Worker) *engine {
-	sub := e.workerEngine()
+	sub := *e
+	sub.kern = blas.CloneKernel(e.kern)
 	if w != nil {
 		sub.sub = w
 	}
-	return sub
+	return &sub
 }
 
 // recurseInto runs one product's recursion (β = 0, α folded in) on

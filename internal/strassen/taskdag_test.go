@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/blas"
@@ -107,14 +108,13 @@ func TestSchedBitForBitAcrossWorkerCounts(t *testing.T) {
 type cancelingCriterion struct {
 	inner  Criterion
 	cancel context.CancelFunc
-	after  int
-	seen   int
+	after  int64
+	seen   atomic.Int64 // product tasks consult the criterion concurrently
 }
 
 func (c *cancelingCriterion) Name() string { return "canceling" }
 func (c *cancelingCriterion) Recurse(m, k, n int) bool {
-	c.seen++
-	if c.seen == c.after {
+	if c.seen.Add(1) == c.after {
 		c.cancel()
 	}
 	return c.inner.Recurse(m, k, n)
@@ -158,10 +158,10 @@ func TestDGEFMMCtxCancelsMidExecution(t *testing.T) {
 	}
 }
 
-// TestSchedParamsResolution pins the knob resolution: the compat shim maps
-// Parallel/ParallelLevels onto lanes/levels with legacy defaults, an
-// explicit runtime defaults lanes to its worker count and levels to the
-// fan-out auto rule, and a sequential config resolves to no DAG.
+// TestSchedParamsResolution pins the knob resolution: the DAG is active
+// exactly when a runtime is attached, lanes are its worker count, levels
+// default to the fan-out auto rule, and a sequential config resolves to no
+// DAG.
 func TestSchedParamsResolution(t *testing.T) {
 	w1, w4 := testRuntimes()
 	cases := []struct {
@@ -171,11 +171,9 @@ func TestSchedParamsResolution(t *testing.T) {
 		wantDAG             bool
 	}{
 		{"sequential", &Config{}, 0, 0, false},
-		{"compat shim", &Config{Parallel: 4}, 4, 1, true},
-		{"compat shim levels", &Config{Parallel: 2, ParallelLevels: 3}, 2, 3, true},
 		{"explicit runtime", &Config{Sched: w4}, 4, 1, true},
 		{"explicit runtime levels", &Config{Sched: w4, SchedLevels: 2}, 4, 2, true},
-		{"runtime with lane cap", &Config{Sched: w4, Parallel: 2}, 2, 1, true},
+		{"levels without runtime", &Config{SchedLevels: 3}, 0, 0, false},
 		{"single worker runtime", &Config{Sched: w1}, 1, 1, true},
 	}
 	for _, tc := range cases {

@@ -105,7 +105,8 @@ func TestTraceSchedulesNamed(t *testing.T) {
 
 func TestTraceParallelEvents(t *testing.T) {
 	skipIfAlgoPinned(t)
-	cfg := &Config{Kernel: blas.NaiveKernel{}, Criterion: Always{}, MaxDepth: 1, Parallel: 4}
+	_, w4 := testRuntimes()
+	cfg := &Config{Kernel: blas.NaiveKernel{}, Criterion: Always{}, MaxDepth: 1, Sched: w4}
 	tr := tracedRun(t, 32, 32, 32, cfg)
 	if tr.Count("parallel") != 1 {
 		t.Fatalf("want a parallel schedule event: %s", tr)
