@@ -32,9 +32,13 @@ import (
 // not just through Default().
 
 // microImpl describes one register micro-kernel: its tile shape, the ISA
-// it needs, and the two entry points the macro kernel calls. full computes
-// a complete mr×nr tile; edge handles ragged boundary tiles (and is always
-// scalar — fringes are a vanishing fraction of the flops).
+// it needs, and which platform tiles it runs. Every tile —
+// full or ragged — runs through full: the packers zero-pad ragged panels
+// to mr rows and nr columns, so a ragged tile is a full tile whose valid
+// rows×cols are staged through a register-tile buffer (see stagedTile).
+// Ragged tiles are not a negligible share of the time: run by a plain-Go
+// loop at a tenth of the SIMD tile's rate, they slowed ragged leaves
+// 1.6–2.4× (EXPERIMENTS.md).
 type microImpl struct {
 	// mr, nr are the register-tile dimensions. The Ã packing layout is
 	// mr-row micro-panels and B̃ is nr-column micro-panels, so the packers
@@ -42,33 +46,36 @@ type microImpl struct {
 	mr, nr int
 	// isa names the instruction set ("avx2+fma", "neon", "scalar").
 	isa string
-	// full computes C[0:mr, 0:nr] += alpha·Ã·B̃ over a kb-deep micro-panel
-	// pair. c points at the tile's top-left element (column-major, leading
-	// dimension ldc).
-	full func(ap, bp, c []float64, ldc, kb int, alpha float64)
-	// edge computes the ragged rows×cols prefix of the tile.
-	edge func(ap, bp, c []float64, ldc, rows, cols, kb int, alpha float64)
-	// dual, when non-nil, computes one full mr×nr tile and scatters it into
-	// two destinations with independent scalars (c0 += alpha0·acc,
-	// c1 += alpha1·acc) — the fused Winograd write-out's two-quadrant fast
-	// path. Nil means the fused sweep captures the tile in a buffer and
-	// scatters scalar instead.
-	dual func(ap, bp, c0 []float64, ldc0 int, c1 []float64, ldc1 int, kb int, alpha0, alpha1 float64)
+	// asm selects the platform's assembly tile (simdFull) over the
+	// portable scalar tile.
+	asm bool
+	// hasDual reports that the platform provides simdDual, the fused
+	// Winograd write-out's two-destination tile: one full mr×nr tile
+	// scattered into two destinations with independent scalars
+	// (c0 += alpha0·acc, c1 += alpha1·acc). Without it the fused sweep
+	// captures the tile in a buffer and scatters scalar instead.
+	hasDual bool
 }
 
-// scalarImpl is the portable tile: the unrolled 4×4 register kernel that
-// was PR 4's pure-Go ceiling. It is complete (full == edge specialisation)
-// and runs on every GOARCH.
+// full computes C[0:mr, 0:nr] += alpha·Ã·B̃ over a kb-deep micro-panel
+// pair. c points at the tile's top-left element (column-major, leading
+// dimension ldc). The tiles are direct calls, not function values, so
+// escape analysis sees that c is not retained and a staging buffer stays
+// on the caller's stack.
+func (mi *microImpl) full(ap, bp, c []float64, ldc, kb int, alpha float64) {
+	if mi.asm {
+		simdFull(ap, bp, c, ldc, kb, alpha)
+		return
+	}
+	microTile(ap, bp, c, ldc, kb, alpha)
+}
+
+// scalarImpl is the portable tile: the unrolled 4×4 pure-Go register
+// kernel. It runs on every GOARCH and is the only tile Compat uses.
 var scalarImpl = microImpl{
-	mr:   MR,
-	nr:   NR,
-	isa:  "scalar",
-	full: scalarFull,
-	edge: microTile,
-}
-
-func scalarFull(ap, bp, c []float64, ldc, kb int, alpha float64) {
-	microTile(ap, bp, c, ldc, MR, NR, kb, alpha)
+	mr:  MR,
+	nr:  NR,
+	isa: "scalar",
 }
 
 // simdImpl is the host's SIMD tile, built by the platform file

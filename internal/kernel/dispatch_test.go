@@ -56,8 +56,8 @@ func TestImplFor(t *testing.T) {
 			t.Errorf("%s: implFor(%q) ISA %q, want simd=%v (host simd=%v)",
 				c.name, c.env, mi.isa, want, HasSIMD())
 		}
-		if mi.full == nil || mi.edge == nil || mi.mr <= 0 || mi.nr <= 0 {
-			t.Errorf("%s: incomplete microImpl %+v", c.name, mi)
+		if mi.mr <= 0 || mi.nr <= 0 || mi.mr*mi.nr > len(tileBuf{}) || mi.asm != wantSIMD(mi) {
+			t.Errorf("%s: inconsistent microImpl %+v", c.name, mi)
 		}
 	}
 }

@@ -82,7 +82,7 @@ func (k *Packed) FusedCounters() (fusedMulAdds int64) {
 // many trailing levels to fuse: a record fan-out past the limit costs
 // more in write-out than the fusion saves in adds.
 func (k *Packed) FusedDestLimit() int {
-	if k.impl().dual != nil {
+	if k.impl().hasDual {
 		return 2
 	}
 	return 4
@@ -111,7 +111,7 @@ func (k *Packed) FusedMulAdd(m, n, kk int, alpha float64, a, b Operand, dests []
 	var acct fusedAcct
 
 	var packedA, packedB int64
-	var fullTiles, edgeTiles int64
+	var tiles int64
 	var t0 time.Time
 	for jc := 0; jc < n; jc += ncE {
 		nb := n - jc
@@ -149,8 +149,7 @@ func (k *Packed) FusedMulAdd(m, n, kk int, alpha float64, a, b Operand, dests []
 				if prof != nil {
 					acct.macro(mi, int64(time.Since(t0)), mb, nb, kb, ft, et, len(dests))
 				}
-				fullTiles += ft
-				edgeTiles += et
+				tiles += ft + et
 			}
 		}
 	}
@@ -162,12 +161,7 @@ func (k *Packed) FusedMulAdd(m, n, kk int, alpha float64, a, b Operand, dests []
 	k.fusedMulAdds.Add(1)
 	k.packAWords.Add(packedA)
 	k.packBWords.Add(packedB)
-	if mi.isa != "scalar" {
-		k.simdTiles.Add(fullTiles)
-		k.scalarTiles.Add(edgeTiles)
-	} else {
-		k.scalarTiles.Add(fullTiles + edgeTiles)
-	}
+	k.countTiles(mi, tiles)
 }
 
 // packAFused packs the mb×kb block with top-left (ic, pc) of the fused
@@ -357,18 +351,20 @@ func packBFused(nr int, dst []float64, op Operand, pc, jc, kb, nb int) {
 
 // macroKernelFused sweeps the packed panels once and accumulates every
 // register tile into all destinations. One destination is the unfused
-// sweep at alpha·coeff; two destinations on a full tile use the ISA's
-// dual-scatter tile when present; otherwise the tile product is captured
-// exactly (zeroed buffer, alpha = 1 — adding an accumulator to zero is
-// exact) and scattered scalar per destination, which preserves the
-// single-destination rounding per destination.
+// sweep at alpha·coeff; two destinations use the ISA's dual-scatter tile
+// when present (ragged tiles staged through one buffer per destination,
+// as in macroKernel); otherwise the tile product is captured exactly
+// (zeroed buffer, alpha = 1 — adding an accumulator to zero is exact) and
+// scattered scalar per destination, which preserves the single-destination
+// rounding per destination. Every tile, ragged or not, runs the full tile
+// over the zero-padded panels.
 func macroKernelFused(mi *microImpl, apack, bpack []float64, dests []Dest, ic, jc, mb, nb, kb int, alpha float64) (fullTiles, edgeTiles int64) {
 	if len(dests) == 1 {
 		d := dests[0]
 		return macroKernel(mi, apack, bpack, d.Data, d.Ld, ic, jc, mb, nb, kb, alpha*d.Coeff)
 	}
 	mr, nr := mi.mr, mi.nr
-	var buf [SIMDTileMR * SIMDTileNR]float64
+	var buf, buf1 tileBuf
 	for jp := 0; jp < nb; jp += nr {
 		cols := nb - jp
 		if cols > nr {
@@ -382,22 +378,28 @@ func macroKernelFused(mi *microImpl, apack, bpack []float64, dests []Dest, ic, j
 			}
 			ap := apack[(ip/mr)*(mr*kb):]
 			full := rows == mr && cols == nr
-			if full && len(dests) == 2 && mi.dual != nil {
+			if full {
+				fullTiles++
+			} else {
+				edgeTiles++
+			}
+			if len(dests) == 2 && mi.hasDual {
 				d0, d1 := dests[0], dests[1]
 				c0 := d0.Data[(jc+jp)*d0.Ld+ic+ip:]
 				c1 := d1.Data[(jc+jp)*d1.Ld+ic+ip:]
-				mi.dual(ap, bp, c0, d0.Ld, c1, d1.Ld, kb, alpha*d0.Coeff, alpha*d1.Coeff)
-				fullTiles++
+				if full {
+					simdDual(ap, bp, c0, d0.Ld, c1, d1.Ld, kb, alpha*d0.Coeff, alpha*d1.Coeff)
+					continue
+				}
+				stage(&buf, mr, c0, d0.Ld, rows, cols)
+				stage(&buf1, mr, c1, d1.Ld, rows, cols)
+				simdDual(ap, bp, buf[:], mr, buf1[:], mr, kb, alpha*d0.Coeff, alpha*d1.Coeff)
+				unstage(&buf, mr, c0, d0.Ld, rows, cols)
+				unstage(&buf1, mr, c1, d1.Ld, rows, cols)
 				continue
 			}
 			clear(buf[:mr*nr])
-			if full {
-				mi.full(ap, bp, buf[:], mr, kb, 1)
-				fullTiles++
-			} else {
-				mi.edge(ap, bp, buf[:], mr, rows, cols, kb, 1)
-				edgeTiles++
-			}
+			mi.full(ap, bp, buf[:], mr, kb, 1)
 			for _, d := range dests {
 				ad := alpha * d.Coeff
 				cd := d.Data[(jc+jp)*d.Ld+ic+ip:]
@@ -416,9 +418,9 @@ func macroKernelFused(mi *microImpl, apack, bpack []float64, dests []Dest, ic, j
 
 // fusedAcct is phaseAcct's counterpart for FusedMulAdd: fused packing
 // replaces the pack_a/pack_b phases, the sweep still splits micro/fringe
-// by FLOP share, and the extra destinations' accumulation traffic is
-// carved out into the fused write-out phase (so KernelMicro stays
-// comparable to the unfused kernel's).
+// by tile count (see phaseAcct), and the extra destinations' accumulation
+// traffic is carved out into the fused write-out phase (so KernelMicro
+// stays comparable to the unfused kernel's).
 type fusedAcct struct {
 	packNS                  int64
 	microNS, fringeNS       int64
@@ -437,7 +439,7 @@ func (a *fusedAcct) macro(mi *microImpl, ns int64, mb, nb, kb int, ft, et int64,
 	if nd > 1 {
 		// Each extra destination costs one multiply-add per product element
 		// per sweep and one C read+write (16 bytes) per element; its time
-		// share is apportioned by FLOPs like the micro/fringe split.
+		// share is apportioned by FLOPs.
 		e := int64(nd - 1)
 		wFlops := e * 2 * int64(mb) * int64(nb)
 		wBytes := e * 16 * int64(mb) * int64(nb)
@@ -451,13 +453,9 @@ func (a *fusedAcct) macro(mi *microImpl, ns int64, mb, nb, kb int, ft, et int64,
 	a.fringeFlops += edge
 	a.microBytes += ft * tileBytes
 	a.fringeBytes += et * tileBytes
-	if edge <= 0 || total <= 0 {
-		a.microNS += ns
-		return
-	}
-	mNS := ns * full / total
+	mNS, fNS := tileSplit(ns, ft, et)
 	a.microNS += mNS
-	a.fringeNS += ns - mNS
+	a.fringeNS += fNS
 }
 
 // flush records the call's totals. Fused packing reads every term once and

@@ -6,8 +6,8 @@
 // Huang et al., "Implementing Strassen's Algorithm with BLIS"
 // (arXiv:1605.01078): a GotoBLAS loop nest (NC/KC/MC blocking), operands
 // repacked into contiguous zero-padded panels, and an unrolled MR×NR
-// register kernel with edge-case handlers, covering alpha and all four
-// transpose combinations.
+// register kernel that also runs the ragged edge tiles (staged through a
+// tile-sized buffer), covering alpha and all four transpose combinations.
 //
 // The register tile is dispatched at runtime (see dispatch.go): hosts with
 // AVX2+FMA (amd64) or AdvSIMD (arm64) run a hand-written 8×4 assembly tile
@@ -122,9 +122,10 @@ func (k *Packed) Counters() (mulAdds, packAWords, packBWords int64) {
 }
 
 // TileCounters reports how many register-tile invocations ran on the SIMD
-// micro-kernel versus the scalar one (full tiles dispatch; ragged fringe
-// tiles always run the scalar tail). internal/obs snapshots these so a
-// silently mis-dispatched host shows up as scalar-heavy traffic.
+// micro-kernel versus the scalar one. Ragged fringe tiles run on the
+// dispatched tile like full ones, so on a SIMD dispatch scalar stays 0;
+// internal/obs snapshots these so a silently mis-dispatched host shows up
+// as scalar traffic.
 func (k *Packed) TileCounters() (simd, scalar int64) {
 	return k.simdTiles.Load(), k.scalarTiles.Load()
 }
@@ -206,7 +207,7 @@ func (k *Packed) MulAdd(transA, transB blas.Transpose, m, n, kk int, alpha float
 	var acct phaseAcct
 
 	var packedA, packedB int64
-	var fullTiles, edgeTiles int64
+	var tiles int64
 	var t0 time.Time
 	for jc := 0; jc < n; jc += ncE {
 		nb := n - jc
@@ -244,8 +245,7 @@ func (k *Packed) MulAdd(transA, transB blas.Transpose, m, n, kk int, alpha float
 				if prof != nil {
 					acct.macro(mi, int64(time.Since(t0)), mb, nb, kb, ft, et)
 				}
-				fullTiles += ft
-				edgeTiles += et
+				tiles += ft + et
 			}
 		}
 	}
@@ -257,22 +257,18 @@ func (k *Packed) MulAdd(transA, transB blas.Transpose, m, n, kk int, alpha float
 	k.mulAdds.Add(1)
 	k.packAWords.Add(packedA)
 	k.packBWords.Add(packedB)
-	if mi.isa != "scalar" {
-		k.simdTiles.Add(fullTiles)
-		k.scalarTiles.Add(edgeTiles)
-	} else {
-		k.scalarTiles.Add(fullTiles + edgeTiles)
-	}
+	k.countTiles(mi, tiles)
 }
 
 // macroKernel sweeps the packed panels with the register micro-kernel:
 // for each nr-wide B̃ micro-panel (kept hot in L1), stream the Ã panel's
-// mr-row micro-panels from L2 through the register tile. Full tiles run
-// the impl's fast path (the SIMD tile when dispatched); ragged boundary
-// tiles run its scalar edge handler. Returns the tile counts for the
-// dispatch counters.
+// mr-row micro-panels from L2 through the register tile. Full tiles write
+// C directly; ragged boundary tiles run the same tile through a staging
+// buffer (stagedTile). Returns the full and ragged tile counts for the
+// dispatch counters and the phase split.
 func macroKernel(mi *microImpl, apack, bpack []float64, c []float64, ldc int, ic, jc, mb, nb, kb int, alpha float64) (fullTiles, edgeTiles int64) {
 	mr, nr := mi.mr, mi.nr
+	var buf tileBuf
 	for jp := 0; jp < nb; jp += nr {
 		cols := nb - jp
 		if cols > nr {
@@ -290,12 +286,22 @@ func macroKernel(mi *microImpl, apack, bpack []float64, c []float64, ldc int, ic
 				mi.full(ap, bp, ctile[ip:], ldc, kb, alpha)
 				fullTiles++
 			} else {
-				mi.edge(ap, bp, ctile[ip:], ldc, rows, cols, kb, alpha)
+				stagedTile(mi, &buf, ap, bp, ctile[ip:], ldc, rows, cols, kb, alpha)
 				edgeTiles++
 			}
 		}
 	}
 	return fullTiles, edgeTiles
+}
+
+// countTiles folds one call's tile counts into the dispatch counters.
+// Every tile, ragged or not, runs on the dispatched ISA's tile.
+func (k *Packed) countTiles(mi *microImpl, tiles int64) {
+	if mi.asm {
+		k.simdTiles.Add(tiles)
+	} else {
+		k.scalarTiles.Add(tiles)
+	}
 }
 
 func roundUpMul(v, unit int) int {

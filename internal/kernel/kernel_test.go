@@ -205,20 +205,23 @@ func TestLeafWorkspaceExact(t *testing.T) {
 }
 
 // TestZeroAllocSteadyState: after warm-up the arena free list satisfies
-// every packing draw, so MulAdd performs no heap allocation.
+// every packing draw, so MulAdd performs no heap allocation — on ragged
+// shapes too, whose fringe tiles stage through a stack buffer.
 func TestZeroAllocSteadyState(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	k := &Packed{}
-	n := 96
-	a := fill(rng, n, n, n)
-	b := fill(rng, n, n, n)
-	c := make([]float64, n*n)
-	k.MulAdd(blas.NoTrans, blas.NoTrans, n, n, n, 1, a, n, b, n, c, n) // warm the free list
-	avg := testing.AllocsPerRun(10, func() {
-		k.MulAdd(blas.NoTrans, blas.NoTrans, n, n, n, 1, a, n, b, n, c, n)
-	})
-	if avg != 0 {
-		t.Fatalf("packed MulAdd allocates %.1f objects/op in steady state, want 0", avg)
+	for _, s := range [][3]int{{96, 96, 96}, {95, 93, 96}} {
+		m, n, kk := s[0], s[1], s[2]
+		a := fill(rng, m, kk, m)
+		b := fill(rng, kk, n, kk)
+		c := make([]float64, m*n)
+		k.MulAdd(blas.NoTrans, blas.NoTrans, m, n, kk, 1, a, m, b, kk, c, m) // warm the free list
+		avg := testing.AllocsPerRun(10, func() {
+			k.MulAdd(blas.NoTrans, blas.NoTrans, m, n, kk, 1, a, m, b, kk, c, m)
+		})
+		if avg != 0 {
+			t.Fatalf("%v: packed MulAdd allocates %.1f objects/op in steady state, want 0", s, avg)
+		}
 	}
 }
 

@@ -33,13 +33,13 @@ const (
 
 // microTile computes the MR×NR register tile
 //
-//	C[0:rows, 0:cols] += alpha * Ã·B̃
+//	C[0:MR, 0:NR] += alpha * Ã·B̃
 //
 // over packed micro-panels ap (MR·kb words, column-of-MR layout) and bp
-// (NR·kb words, row-of-NR layout), scattering only the valid rows×cols of a
-// ragged edge tile. c points at the tile's top-left element of the
-// column-major output with leading dimension ldc.
-func microTile(ap, bp []float64, c []float64, ldc int, rows, cols, kb int, alpha float64) {
+// (NR·kb words, row-of-NR layout). c points at the tile's top-left element
+// of the column-major output with leading dimension ldc; ragged tiles
+// reach it through stagedTile like any other tile.
+func microTile(ap, bp []float64, c []float64, ldc int, kb int, alpha float64) {
 	var c00, c01, c02, c03 float64
 	var c10, c11, c12, c13 float64
 	var c20, c21, c22, c23 float64
@@ -110,97 +110,84 @@ func microTile(ap, bp []float64, c []float64, ldc int, rows, cols, kb int, alpha
 		c33 += a3 * b3
 	}
 
-	if rows == MR && cols == NR {
-		// Interior tile: straight-line scatter. Multiplying by alpha == 1 is
-		// exact, so the specialised branch stays bitwise identical.
-		if alpha == 1 {
-			c0 := c[0*ldc : 0*ldc+MR : 0*ldc+MR]
-			c0[0] += c00
-			c0[1] += c10
-			c0[2] += c20
-			c0[3] += c30
-			c1 := c[1*ldc : 1*ldc+MR : 1*ldc+MR]
-			c1[0] += c01
-			c1[1] += c11
-			c1[2] += c21
-			c1[3] += c31
-			c2 := c[2*ldc : 2*ldc+MR : 2*ldc+MR]
-			c2[0] += c02
-			c2[1] += c12
-			c2[2] += c22
-			c2[3] += c32
-			c3 := c[3*ldc : 3*ldc+MR : 3*ldc+MR]
-			c3[0] += c03
-			c3[1] += c13
-			c3[2] += c23
-			c3[3] += c33
-		} else {
-			c0 := c[0*ldc : 0*ldc+MR : 0*ldc+MR]
-			c0[0] += alpha * c00
-			c0[1] += alpha * c10
-			c0[2] += alpha * c20
-			c0[3] += alpha * c30
-			c1 := c[1*ldc : 1*ldc+MR : 1*ldc+MR]
-			c1[0] += alpha * c01
-			c1[1] += alpha * c11
-			c1[2] += alpha * c21
-			c1[3] += alpha * c31
-			c2 := c[2*ldc : 2*ldc+MR : 2*ldc+MR]
-			c2[0] += alpha * c02
-			c2[1] += alpha * c12
-			c2[2] += alpha * c22
-			c2[3] += alpha * c32
-			c3 := c[3*ldc : 3*ldc+MR : 3*ldc+MR]
-			c3[0] += alpha * c03
-			c3[1] += alpha * c13
-			c3[2] += alpha * c23
-			c3[3] += alpha * c33
-		}
+	// Straight-line scatter. Multiplying by alpha == 1 is exact, so the
+	// specialised branch stays bitwise identical.
+	if alpha == 1 {
+		c0 := c[0*ldc : 0*ldc+MR : 0*ldc+MR]
+		c0[0] += c00
+		c0[1] += c10
+		c0[2] += c20
+		c0[3] += c30
+		c1 := c[1*ldc : 1*ldc+MR : 1*ldc+MR]
+		c1[0] += c01
+		c1[1] += c11
+		c1[2] += c21
+		c1[3] += c31
+		c2 := c[2*ldc : 2*ldc+MR : 2*ldc+MR]
+		c2[0] += c02
+		c2[1] += c12
+		c2[2] += c22
+		c2[3] += c32
+		c3 := c[3*ldc : 3*ldc+MR : 3*ldc+MR]
+		c3[0] += c03
+		c3[1] += c13
+		c3[2] += c23
+		c3[3] += c33
 		return
 	}
+	c0 := c[0*ldc : 0*ldc+MR : 0*ldc+MR]
+	c0[0] += alpha * c00
+	c0[1] += alpha * c10
+	c0[2] += alpha * c20
+	c0[3] += alpha * c30
+	c1 := c[1*ldc : 1*ldc+MR : 1*ldc+MR]
+	c1[0] += alpha * c01
+	c1[1] += alpha * c11
+	c1[2] += alpha * c21
+	c1[3] += alpha * c31
+	c2 := c[2*ldc : 2*ldc+MR : 2*ldc+MR]
+	c2[0] += alpha * c02
+	c2[1] += alpha * c12
+	c2[2] += alpha * c22
+	c2[3] += alpha * c32
+	c3 := c[3*ldc : 3*ldc+MR : 3*ldc+MR]
+	c3[0] += alpha * c03
+	c3[1] += alpha * c13
+	c3[2] += alpha * c23
+	c3[3] += alpha * c33
+}
 
-	// Ragged edge tile: scatter only the valid rows/columns.
-	acc := [NR][MR]float64{
-		{c00, c10, c20, c30},
-		{c01, c11, c21, c31},
-		{c02, c12, c22, c32},
-		{c03, c13, c23, c33},
-	}
+// tileBuf is one register tile's staging area: large enough for either
+// ISA's tile (SIMDTileMR×SIMDTileNR ≥ MR×NR), column-major with leading
+// dimension mr.
+type tileBuf [SIMDTileMR * SIMDTileNR]float64
+
+// stagedTile runs a ragged rows×cols tile (rows ≤ mr, cols ≤ nr) through
+// the full register tile. The valid part of C is copied into buf (its
+// padded lanes zeroed), the full tile accumulates into it over the panels
+// the packers zero-padded to mr rows and nr columns, and the valid part is
+// copied back; the padded lanes are discarded. Each valid element sees the
+// same operation sequence an interior tile applies to it, so a ragged
+// product equals the matching block of the zero-padded product bit for
+// bit.
+func stagedTile(mi *microImpl, buf *tileBuf, ap, bp, c []float64, ldc, rows, cols, kb int, alpha float64) {
+	stage(buf, mi.mr, c, ldc, rows, cols)
+	mi.full(ap, bp, buf[:], mi.mr, kb, alpha)
+	unstage(buf, mi.mr, c, ldc, rows, cols)
+}
+
+// stage copies the valid rows×cols of the tile at c into buf (leading
+// dimension mr) and zeroes the rest of the buffer.
+func stage(buf *tileBuf, mr int, c []float64, ldc, rows, cols int) {
+	clear(buf[:])
 	for s := 0; s < cols; s++ {
-		col := c[s*ldc : s*ldc+rows : s*ldc+rows]
-		for r := range col {
-			col[r] += alpha * acc[s][r]
-		}
+		copy(buf[s*mr:s*mr+rows], c[s*ldc:s*ldc+rows])
 	}
 }
 
-// microTileEdge8x4 is the scalar tail for the 8×4 SIMD packed layout: it
-// computes the ragged rows×cols prefix of a full tile over micro-panels
-// packed for SIMDTileMR×SIMDTileNR. The zero padding the packers write
-// into ragged panels accumulates into scratch lanes the scatter discards,
-// exactly like the scalar tile's edge path. Fringe tiles are an O(n²)
-// sliver of an O(n³) computation, so this path stays simple rather than
-// unrolled.
-func microTileEdge8x4(ap, bp, c []float64, ldc, rows, cols, kb int, alpha float64) {
-	var acc [SIMDTileNR][SIMDTileMR]float64
-	// Length-guarded head-reslicing: the loop condition proves the array
-	// pointer conversions in range, so the k loop runs bounds-check free.
-	av, bv := ap[:kb*SIMDTileMR], bp[:kb*SIMDTileNR]
-	for len(av) >= SIMDTileMR && len(bv) >= SIMDTileNR {
-		a := (*[SIMDTileMR]float64)(av)
-		b := (*[SIMDTileNR]float64)(bv)
-		for j, bj := range b {
-			col := &acc[j]
-			for i := range a {
-				col[i] += a[i] * bj
-			}
-		}
-		av, bv = av[SIMDTileMR:], bv[SIMDTileNR:]
-	}
+// unstage copies the valid rows×cols of buf back into the tile at c.
+func unstage(buf *tileBuf, mr int, c []float64, ldc, rows, cols int) {
 	for s := 0; s < cols; s++ {
-		col := c[s*ldc : s*ldc+rows : s*ldc+rows]
-		for r := range col {
-			col[r] += alpha * acc[s][r]
-		}
+		copy(c[s*ldc:s*ldc+rows], buf[s*mr:s*mr+rows])
 	}
 }

@@ -1,8 +1,8 @@
 package kernel
 
-// AVX2+FMA 8×4 micro-kernel glue. The assembly routine (micro_amd64.s)
-// computes full register tiles only; ragged edges fall back to the
-// generic scalar tail over the same packed layout.
+// AVX2+FMA 8×4 micro-kernel glue. The assembly routines (micro_amd64.s)
+// compute full register tiles only; the macro kernels stage ragged tiles
+// through a tile-sized buffer so they run here too.
 
 //go:noescape
 func microTile8x4AVX2(kb int, alpha float64, ap, bp, c *float64, ldc int)
@@ -10,10 +10,10 @@ func microTile8x4AVX2(kb int, alpha float64, ap, bp, c *float64, ldc int)
 //go:noescape
 func microTile8x4AVX2Dual(kb int, alpha0, alpha1 float64, ap, bp, c0 *float64, ldc0 int, c1 *float64, ldc1 int)
 
-// avx2Full adapts the assembly tile to the microImpl signature. The slice
-// prefix re-slicings compile to bounds checks that document (and enforce)
-// the contract the macro kernel already guarantees.
-func avx2Full(ap, bp, c []float64, ldc, kb int, alpha float64) {
+// simdFull adapts the assembly tile to the microImpl.full signature. The
+// slice prefix re-slicings compile to bounds checks that document (and
+// enforce) the contract the macro kernel already guarantees.
+func simdFull(ap, bp, c []float64, ldc, kb int, alpha float64) {
 	if kb <= 0 {
 		return
 	}
@@ -23,9 +23,9 @@ func avx2Full(ap, bp, c []float64, ldc, kb int, alpha float64) {
 	microTile8x4AVX2(kb, alpha, &ap[0], &bp[0], &c[0], ldc)
 }
 
-// avx2Dual adapts the dual-destination assembly tile (the fused Winograd
+// simdDual adapts the dual-destination assembly tile (the fused Winograd
 // two-quadrant write-out) the same way.
-func avx2Dual(ap, bp, c0 []float64, ldc0 int, c1 []float64, ldc1 int, kb int, alpha0, alpha1 float64) {
+func simdDual(ap, bp, c0 []float64, ldc0 int, c1 []float64, ldc1 int, kb int, alpha0, alpha1 float64) {
 	if kb <= 0 {
 		return
 	}
@@ -43,11 +43,10 @@ func newSIMDImpl() *microImpl {
 		return nil
 	}
 	return &microImpl{
-		mr:   SIMDTileMR,
-		nr:   SIMDTileNR,
-		isa:  "avx2+fma",
-		full: avx2Full,
-		edge: microTileEdge8x4,
-		dual: avx2Dual,
+		mr:      SIMDTileMR,
+		nr:      SIMDTileNR,
+		isa:     "avx2+fma",
+		asm:     true,
+		hasDual: true,
 	}
 }

@@ -5,8 +5,8 @@ package kernel
 //go:noescape
 func microTile8x4NEON(kb int, alpha float64, ap, bp, c *float64, ldc int)
 
-// neonFull adapts the assembly tile to the microImpl signature.
-func neonFull(ap, bp, c []float64, ldc, kb int, alpha float64) {
+// simdFull adapts the assembly tile to the microImpl.full signature.
+func simdFull(ap, bp, c []float64, ldc, kb int, alpha float64) {
 	if kb <= 0 {
 		return
 	}
@@ -16,6 +16,12 @@ func neonFull(ap, bp, c []float64, ldc, kb int, alpha float64) {
 	microTile8x4NEON(kb, alpha, &ap[0], &bp[0], &c[0], ldc)
 }
 
+// simdDual is never called: the NEON tile has no dual-destination
+// write-out (hasDual is false), so the fused sweep buffers its tiles.
+func simdDual(ap, bp, c0 []float64, ldc0 int, c1 []float64, ldc1 int, kb int, alpha0, alpha1 float64) {
+	panic("kernel: no dual-destination tile on arm64")
+}
+
 // newSIMDImpl probes HWCAP and returns the NEON tile, or nil when AdvSIMD
 // is unavailable.
 func newSIMDImpl() *microImpl {
@@ -23,10 +29,9 @@ func newSIMDImpl() *microImpl {
 		return nil
 	}
 	return &microImpl{
-		mr:   SIMDTileMR,
-		nr:   SIMDTileNR,
-		isa:  "neon",
-		full: neonFull,
-		edge: microTileEdge8x4,
+		mr:  SIMDTileMR,
+		nr:  SIMDTileNR,
+		isa: "neon",
+		asm: true,
 	}
 }

@@ -8,10 +8,14 @@ import "repro/internal/phase"
 // The macro-kernel sweep is timed as a whole (timing each MR×NR register
 // tile would perturb the very loop being measured) and the elapsed time is
 // apportioned between the micro and fringe phases in proportion to their
-// FLOPs. For the power-of-two shapes the Strassen quadrants produce, every
-// tile is full and the split is exact; on ragged shapes the fringe share
-// is an estimate with the right totals (times and FLOPs both sum to the
-// sweep's true values).
+// tile counts: a ragged tile runs the same full register tile over
+// zero-padded panels as an interior one (plus a tile-sized copy in and
+// out), so it costs one full tile however few of its FLOPs are useful.
+// The FLOPs stay the useful ones (kernel.fringe's rate therefore reads
+// below kernel.micro's by the padding fraction). For the power-of-two
+// shapes the Strassen quadrants produce, every tile is full and the split
+// is exact; on ragged shapes times and FLOPs both sum to the sweep's true
+// values.
 type phaseAcct struct {
 	packANS, packBNS        int64
 	microNS, fringeNS       int64
@@ -33,13 +37,18 @@ func (a *phaseAcct) macro(mi *microImpl, ns int64, mb, nb, kb int, ft, et int64)
 	a.fringeFlops += edge
 	a.microBytes += ft * tileBytes
 	a.fringeBytes += et * tileBytes
-	if edge <= 0 || total <= 0 {
-		a.microNS += ns
-		return
-	}
-	mNS := ns * full / total
+	mNS, fNS := tileSplit(ns, ft, et)
 	a.microNS += mNS
-	a.fringeNS += ns - mNS
+	a.fringeNS += fNS
+}
+
+// tileSplit apportions a sweep's ns between ft full and et ragged tiles.
+func tileSplit(ns, ft, et int64) (microNS, fringeNS int64) {
+	if et <= 0 {
+		return ns, 0
+	}
+	microNS = ns * ft / (ft + et)
+	return microNS, ns - microNS
 }
 
 // flush records the call's totals. Packing performs no FLOPs; its traffic

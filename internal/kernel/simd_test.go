@@ -117,11 +117,11 @@ func TestSIMDDegenerateArgs(t *testing.T) {
 	}
 }
 
-// TestSIMDFringeTail verifies the scalar tail really handles the fringes:
-// a shape one short of the tile in both dimensions must produce SIMD full
-// tiles AND scalar edge tiles, counted by the dispatch counters, and the
-// NaN canaries past m must survive (the tail must scatter only valid
-// rows/cols even though the packed panel is zero-padded).
+// TestSIMDFringeTail verifies that fringe tiles run on the SIMD tile: a
+// shape one short of the tile in both dimensions must count every one of
+// its register tiles as SIMD and none as scalar, match the oracle, and
+// leave the NaN canaries past m intact (the staged tile must copy back
+// only valid rows/cols even though the packed panel is zero-padded).
 func TestSIMDFringeTail(t *testing.T) {
 	if !HasSIMD() {
 		t.Skipf("host has no SIMD micro-kernel (ISA %s)", SIMDISA())
@@ -140,9 +140,13 @@ func TestSIMDFringeTail(t *testing.T) {
 		t.Fatalf("fringe shape m=%d n=%d: max diff %g", m, n, d)
 	}
 	checkPadding(t, got, m, n, ldc)
+	// Block edges fall on whole tiles, so the tile count is the 3×3 tile
+	// grid once per KC block.
+	_, kcE, _ := k.effBlocks(k.impl(), m, n, kk)
+	wantTiles := int64(3 * 3 * ((kk + kcE - 1) / kcE))
 	simd, scalar := k.TileCounters()
-	if simd == 0 || scalar == 0 {
-		t.Fatalf("fringe shape must exercise both paths: simd=%d scalar=%d tiles", simd, scalar)
+	if simd != wantTiles || scalar != 0 {
+		t.Fatalf("fringe shape: simd=%d scalar=%d tiles, want simd=%d scalar=0", simd, scalar, wantTiles)
 	}
 }
 

@@ -209,8 +209,9 @@ func (t teeTracer) EndSpan(id int64) { t.spans.EndSpan(id) }
 type isaKernel interface{ ISA() string }
 
 // tileCountersKernel is the optional structural interface for kernels that
-// count register-tile invocations by dispatch path (SIMD fast path vs
-// scalar tail); a scalar-heavy ratio on a SIMD host flags a mis-dispatch.
+// count register-tile invocations by the tile that ran them (SIMD or
+// scalar). Fringe tiles run on the dispatched tile too, so a non-zero
+// scalar count on a SIMD host flags a mis-dispatch.
 type tileCountersKernel interface {
 	TileCounters() (simd, scalar int64)
 }
